@@ -3,6 +3,9 @@
 // Figures 5-8 (PRF/DPRF evaluations per retrieved tuple, GGM expansions,
 // cover computations).
 
+#include <algorithm>
+#include <numeric>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -18,6 +21,7 @@
 #include "rsse/local_backend.h"
 #include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
+#include "sse/keyword_keys.h"
 #include "sse/packed_multimap.h"
 
 namespace rsse {
@@ -176,6 +180,8 @@ void BM_TdagCoverValue(benchmark::State& state) {
 BENCHMARK(BM_TdagCoverValue);
 
 void BM_DprfDelegate(benchmark::State& state) {
+  // Owner trapdoor: BRC cover plus one shared-prefix walk for its seeds.
+  // Args 16 and 256 are const_narrow's and const_leaf's query widths.
   GgmDprf dprf(crypto::GenerateKey(), 27);
   Rng rng(3);
   Range r{5000, 5000 + static_cast<uint64_t>(state.range(0)) - 1};
@@ -183,7 +189,48 @@ void BM_DprfDelegate(benchmark::State& state) {
     benchmark::DoNotOptimize(dprf.Delegate(r, CoverTechnique::kBrc, rng));
   }
 }
-BENCHMARK(BM_DprfDelegate)->Arg(100)->Arg(10000);
+BENCHMARK(BM_DprfDelegate)->Arg(16)->Arg(100)->Arg(256)->Arg(10000);
+
+void BM_DprfLeafSeeds(benchmark::State& state) {
+  // Owner build: the leaf values of Arg sorted distinct values over 2^17
+  // (const_leaf's shape: 125k records give ~80k distinct values), derived
+  // in one NodeSeedsInto walk. items/s counts leaves.
+  constexpr int kBits = 17;
+  GgmDprf dprf(crypto::GenerateKey(), kBits);
+  std::vector<uint64_t> values(size_t{1} << kBits);
+  std::iota(values.begin(), values.end(), 0);
+  Rng rng(17);
+  rng.Shuffle(values);
+  values.resize(static_cast<size_t>(state.range(0)));
+  std::sort(values.begin(), values.end());
+  std::vector<DyadicNode> leaves;
+  for (uint64_t v : values) leaves.push_back(DyadicNode{0, v});
+  std::vector<Label> seeds;
+  for (auto _ : state) {
+    dprf.NodeSeedsInto(leaves, seeds);
+    benchmark::DoNotOptimize(seeds.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DprfLeafSeeds)
+    ->Arg(1000)
+    ->Arg(80000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_LeafKdf(benchmark::State& state) {
+  // Per-leaf KDF (owner build and server resolve): two domain-separated
+  // SHA-256 digests of a 16-byte leaf secret into reused key buffers.
+  const Bytes secret = crypto::GenerateKey();
+  sse::KeywordKeys keys;
+  for (auto _ : state) {
+    sse::KeysFromSharedSecretInto(secret, keys);
+    benchmark::DoNotOptimize(keys.label_key.data());
+    benchmark::DoNotOptimize(keys.value_key.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LeafKdf);
 
 void BM_DprfExpandSubtree(benchmark::State& state) {
   GgmDprf dprf(crypto::GenerateKey(), 27);

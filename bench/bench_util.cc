@@ -1,5 +1,7 @@
 #include "bench_util.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -10,7 +12,8 @@
 
 namespace rsse::bench {
 
-Flags::Flags(int argc, char** argv, const std::string& usage) {
+Flags::Flags(int argc, char** argv, const std::string& usage)
+    : usage_(usage) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -37,12 +40,35 @@ Flags::Flags(int argc, char** argv, const std::string& usage) {
 
 uint64_t Flags::GetUint(const std::string& key, uint64_t default_value) const {
   auto it = values_.find(key);
-  return it == values_.end() ? default_value : std::stoull(it->second);
+  if (it == values_.end()) return default_value;
+  // from_chars takes no sign, no whitespace and no overflow, and the whole
+  // value must parse: "-5", "abc", "12x" and "" are all rejected.
+  const std::string& s = it->second;
+  uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || end != s.data() + s.size()) {
+    RejectValue(key, "a non-negative integer");
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
-  return it == values_.end() ? default_value : std::stod(it->second);
+  if (it == values_.end()) return default_value;
+  const std::string& s = it->second;
+  double value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || end != s.data() + s.size() ||
+      !std::isfinite(value)) {
+    RejectValue(key, "a finite number");
+  }
+  return value;
+}
+
+void Flags::RejectValue(const std::string& key, const char* expected) const {
+  std::fprintf(stderr, "--%s=%s: expected %s\n%s\n", key.c_str(),
+               values_.at(key).c_str(), expected, usage_.c_str());
+  std::exit(2);
 }
 
 std::string Flags::GetString(const std::string& key,

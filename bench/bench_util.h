@@ -19,6 +19,9 @@ class Flags {
  public:
   Flags(int argc, char** argv, const std::string& usage);
 
+  /// Numeric getters. A value that does not parse in full (`--seed=abc`,
+  /// `--seed=-5`, `--seed=12x`, out of range, or a non-finite double)
+  /// prints the usage and exits with status 2.
   uint64_t GetUint(const std::string& key, uint64_t default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
   std::string GetString(const std::string& key,
@@ -35,6 +38,10 @@ class Flags {
   }
 
  private:
+  [[noreturn]] void RejectValue(const std::string& key,
+                                const char* expected) const;
+
+  std::string usage_;
   std::map<std::string, std::string> values_;
 };
 

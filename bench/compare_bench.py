@@ -16,9 +16,11 @@ release-bench CI job:
 A metric regresses when it moves more than ``threshold`` (default 25%) in
 its *worse* direction. The direction is inferred from the metric name:
 times/sizes (ns, ms, s, bytes, MB...) regress upward, rates/throughputs
-(/s, ops...) regress downward; metrics whose direction is not recognizably
-either are reported as informational only. Missing baselines (first run,
-renamed rows, new benchmarks) never fail the job.
+(/s, ops, qps, knee...) regress downward; metrics whose direction is not
+recognizably either are reported as informational only. Error counts
+(``errors``, ``error_rate``) are held to zero tolerance: any increase over
+the baseline, including from zero, is a regression. Missing baselines
+(first run, renamed rows, new benchmarks) never fail the job.
 
 ``--require PATTERN`` (repeatable) asserts that at least one row of the
 *current* snapshot matches the regex; a filter typo that silently drops a
@@ -42,6 +44,12 @@ LOWER_BETTER_NAMES = (
     "real_time", "cpu_time",
 )
 HIGHER_BETTER = ("/s", "per_second", "ops", "throughput")
+# Serving capacity: "qps" rows and the knee (highest rate meeting the p99
+# limit). Checked after the time/size names, so "p99_at_knee_ms" stays
+# lower-is-better.
+CAPACITY_NAMES = ("qps", "knee")
+# Failure counts: no tolerated increase at all.
+ERROR_NAMES = ("errors", "error_rate")
 
 # "2.00 ms", "0.05 MB", "1.47M/s", "42" — leading float, optional unit.
 VALUE_RE = re.compile(
@@ -58,7 +66,15 @@ def direction(metric_name, unit=""):
         return -1
     if any(tok in name for tok in LOWER_BETTER_NAMES):
         return -1
+    if any(tok in name for tok in CAPACITY_NAMES):
+        return 1
     return 0
+
+
+def is_error_metric(metric_name):
+    """True for failure counts, which regress on any increase."""
+    name = metric_name.lower()
+    return any(name == tok or name.endswith("_" + tok) for tok in ERROR_NAMES)
 
 
 def as_number(value):
@@ -166,13 +182,20 @@ def compare(baseline, current, threshold):
                 if base is None:
                     continue
                 base_value, base_unit = base
+                where = "%s :: %s :: %s" % (fname, row_key, metric)
+                if is_error_metric(metric):
+                    line = "%s  %.4g -> %.4g" % (where, base_value, cur_value)
+                    if cur_value > base_value:
+                        regressions.append(line)
+                    elif cur_value < base_value:
+                        improvements.append(line)
+                    continue
                 if base_value == 0 or base_unit != cur_unit:
                     continue  # zero baseline or unit change: not comparable
                 sign = direction(metric, cur_unit)
                 if sign == 0:
                     continue
                 ratio = cur_value / base_value
-                where = "%s :: %s :: %s" % (fname, row_key, metric)
                 line = "%s  %.4g -> %.4g  (%+.1f%%)" % (
                     where, base_value, cur_value, (ratio - 1.0) * 100.0)
                 worse = ratio > 1.0 + threshold if sign < 0 \

@@ -2,6 +2,7 @@
 #define RSSE_DPRF_GGM_DPRF_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -32,7 +33,8 @@ class GgmDprf {
     int level = 0;
   };
 
-  /// `key` is the λ-byte DPRF secret; `bits` the domain bit-width.
+  /// `key` is the λ-byte DPRF secret; `bits` the domain bit-width (at most
+  /// 64).
   GgmDprf(Bytes key, int bits);
 
   int bits() const { return bits_; }
@@ -42,6 +44,16 @@ class GgmDprf {
 
   /// GGM seed of an arbitrary tree node (owner-side).
   Bytes NodeSeed(const DyadicNode& node) const;
+
+  /// Batch NodeSeed (owner-side): `out` is resized to `nodes.size()` and
+  /// `out[i]` receives the GGM seed of `nodes[i]`. One walk over the union
+  /// of the nodes' root paths keeps both children of every expanded
+  /// ancestor on a path stack, so consecutive nodes share every common
+  /// prefix: nodes sorted by position expand each ancestor exactly once
+  /// (all 2^17 leaves cost 2^17 - 1 PRG calls instead of 17 · 2^17). Any
+  /// order, duplicates included, yields the same per-node seeds.
+  void NodeSeedsInto(std::span<const DyadicNode> nodes,
+                     std::vector<Label>& out) const;
 
   /// Delegation: the token-generation function T of the DPRF. Covers `r`
   /// with BRC or URC and emits one token per covering node, randomly

@@ -1,5 +1,7 @@
 #include "rsse/constant.h"
 
+#include <algorithm>
+
 #include "crypto/random.h"
 #include "sse/keyword_keys.h"
 
@@ -14,22 +16,31 @@ Bytes ValueKeyword(uint64_t a) {
   return out;
 }
 
-/// Index-build deriver: per-keyword SSE keys come from the DPRF leaf value
-/// of the keyword's domain value, so that delegated GGM seeds unlock exactly
-/// the covered values ("use a DPRF instead of a PRF", Section 5).
-class DprfKeyDeriver : public sse::KeywordKeyDeriver {
- public:
-  explicit DprfKeyDeriver(const GgmDprf& dprf) : dprf_(dprf) {}
-
-  sse::KeywordKeys Derive(const Bytes& w) const override {
-    return sse::KeysFromSharedSecret(dprf_.Eval(ReadUint64(w, 0)));
-  }
-
- private:
-  const GgmDprf& dprf_;
-};
-
 }  // namespace
+
+DprfKeyDeriver::DprfKeyDeriver(const GgmDprf& dprf,
+                               std::vector<uint64_t> values)
+    : dprf_(dprf), values_(std::move(values)) {
+  std::sort(values_.begin(), values_.end());
+  values_.erase(std::unique(values_.begin(), values_.end()), values_.end());
+  std::vector<DyadicNode> leaves;
+  leaves.reserve(values_.size());
+  for (uint64_t v : values_) leaves.push_back(DyadicNode{0, v});
+  dprf_.NodeSeedsInto(leaves, secrets_);
+}
+
+sse::KeywordKeys DprfKeyDeriver::Derive(const Bytes& w) const {
+  const uint64_t v = ReadUint64(w, 0);
+  const auto it = std::lower_bound(values_.begin(), values_.end(), v);
+  if (it == values_.end() || *it != v) {
+    return sse::KeysFromSharedSecret(dprf_.Eval(v));
+  }
+  const Label& secret = secrets_[static_cast<size_t>(it - values_.begin())];
+  sse::KeywordKeys keys;
+  sse::KeysFromSharedSecretInto(ConstByteSpan(secret.data(), secret.size()),
+                                keys);
+  return keys;
+}
 
 ConstantScheme::ConstantScheme(CoverTechnique technique, uint64_t rng_seed)
     : technique_(technique), rng_(rng_seed) {}
@@ -44,9 +55,14 @@ Status ConstantScheme::Build(const Dataset& dataset) {
   for (const Record& rec : dataset.records()) {
     postings[ValueKeyword(rec.attr)].push_back(sse::EncodeIdPayload(rec.id));
   }
-  for (auto& [keyword, payloads] : postings) rng_.Shuffle(payloads);
+  std::vector<uint64_t> values;
+  values.reserve(postings.size());
+  for (auto& [keyword, payloads] : postings) {
+    rng_.Shuffle(payloads);
+    values.push_back(ReadUint64(keyword, 0));
+  }
 
-  DprfKeyDeriver deriver(*dprf_);
+  DprfKeyDeriver deriver(*dprf_, std::move(values));
   // The server-side dictionary is hash-sharded (RSSE_SHARDS / SetShards) so
   // build and load scale with cores; a single shard reproduces the flat
   // paper-faithful layout.

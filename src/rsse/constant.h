@@ -14,6 +14,30 @@
 
 namespace rsse {
 
+/// Index-build key deriver of the Constant schemes: the SSE keys of domain
+/// value v's keyword (its 8-byte big-endian encoding) come from the DPRF
+/// leaf value of v, so that delegated GGM seeds unlock exactly the covered
+/// values ("use a DPRF instead of a PRF", Section 5). The constructor
+/// derives the leaf values of all given values up front, in one
+/// shared-prefix walk (`GgmDprf::NodeSeedsInto`), into a sorted table;
+/// `Derive` is a lookup in that read-only table plus the public KDF, so one
+/// deriver serves all parallel build workers.
+class DprfKeyDeriver : public sse::KeywordKeyDeriver {
+ public:
+  /// `values` may come in any order and repeat. `dprf` must outlive the
+  /// deriver.
+  DprfKeyDeriver(const GgmDprf& dprf, std::vector<uint64_t> values);
+
+  /// Equals `KeysFromSharedSecret(dprf.Eval(v))` for the value v that `w`
+  /// encodes; a value outside the table takes a root-to-leaf `Eval`.
+  sse::KeywordKeys Derive(const Bytes& w) const override;
+
+ private:
+  const GgmDprf& dprf_;
+  std::vector<uint64_t> values_;  // sorted, distinct
+  std::vector<Label> secrets_;    // secrets_[i] = leaf value of values_[i]
+};
+
 /// Constant-BRC / Constant-URC (Section 5): one keyword per domain value —
 /// O(n) storage — with the per-keyword SSE keys derived from a *delegatable*
 /// PRF. A query of size R ships the O(log R) GGM seeds of its BRC/URC cover;

@@ -6,8 +6,10 @@
 
 #include "cover/urc.h"
 #include "crypto/prg.h"
+#include "crypto/random.h"
 #include "prg_backend_guard.h"
 #include "rsse/leakage.h"
+#include "sse/keyword_keys.h"
 
 namespace rsse {
 namespace {
@@ -183,6 +185,31 @@ TEST(ConstantSchemeTest, IndexSizeLinearInN) {
   double ratio = static_cast<double>(big_scheme.IndexSizeBytes()) /
                  static_cast<double>(small_scheme.IndexSizeBytes());
   EXPECT_NEAR(ratio, 2.0, 0.3);
+}
+
+TEST(ConstantSchemeTest, DprfKeyDeriverMatchesPerValueEval) {
+  // The table built by one shared-prefix walk must give every value the
+  // keys of its own root-to-leaf Eval; values outside the table (the
+  // domain values no record holds) take the Eval fallback.
+  for (const auto backend :
+       {crypto::GgmPrg::Backend::kHmac, crypto::GgmPrg::Backend::kAes}) {
+    crypto::PrgBackendGuard guard(backend);
+    const int bits = 11;
+    const GgmDprf dprf(crypto::GenerateKey(), bits);
+    Rng rng(5);
+    std::vector<uint64_t> values = {0, (uint64_t{1} << bits) - 1};
+    for (int i = 0; i < 700; ++i) {
+      values.push_back(rng.Uniform(0, (uint64_t{1} << bits) - 1));
+    }
+    const DprfKeyDeriver deriver(dprf, values);  // unsorted, repeats
+    for (uint64_t v = 0; v < (uint64_t{1} << bits); ++v) {
+      Bytes keyword;
+      AppendUint64(keyword, v);
+      EXPECT_EQ(deriver.Derive(keyword),
+                sse::KeysFromSharedSecret(dprf.Eval(v)))
+          << "value " << v;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "dprf/ggm_dprf.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,19 @@
 
 namespace rsse {
 namespace {
+
+/// Test-local oracle: one root-to-node walk per node, one GbInto per path
+/// bit — the per-node derivation the batch walk must reproduce.
+Label NaiveNodeSeed(const Bytes& key, int bits, const DyadicNode& node) {
+  Label seed;
+  std::memcpy(seed.data(), key.data(), kLabelBytes);
+  for (int i = bits - node.level - 1; i >= 0; --i) {
+    crypto::GgmPrg::GbInto(seed.data(),
+                           static_cast<int>((node.index >> i) & 1),
+                           seed.data());
+  }
+  return seed;
+}
 
 TEST(GgmDprfTest, EvalMatchesPaperExample) {
   // Section 2.2: the DPRF of 6 = (110)_2 is G0(G1(G1(k))).
@@ -207,6 +222,115 @@ TEST(GgmDprfTest, TokensArePermuted) {
     if (t1[i].seed != t2[i].seed) same_order = false;
   }
   EXPECT_FALSE(same_order);
+}
+
+TEST(GgmDprfTest, NodeSeedsIntoMatchesPerNodeWalks) {
+  // Random node sets over every domain width 1..27, under both PRG
+  // backends: leaves at both domain edges, the root, random leaves and
+  // inner nodes, and repeats; walked sorted by position, shuffled, and
+  // as an empty set.
+  for (const auto backend :
+       {crypto::GgmPrg::Backend::kHmac, crypto::GgmPrg::Backend::kAes}) {
+    crypto::PrgBackendGuard guard(backend);
+    Rng rng(backend == crypto::GgmPrg::Backend::kHmac ? 21 : 22);
+    for (int bits = 1; bits <= 27; ++bits) {
+      const Bytes key = crypto::GenerateKey();
+      const GgmDprf dprf(key, bits);
+      const uint64_t last = (uint64_t{1} << bits) - 1;
+      std::vector<DyadicNode> nodes = {{0, 0}, {0, last}, {bits, 0}};
+      for (int i = 0; i < 48; ++i) {
+        const int level =
+            i % 3 == 0 ? static_cast<int>(rng.Uniform(0, bits)) : 0;
+        nodes.push_back(DyadicNode{level, rng.Uniform(0, last >> level)});
+      }
+      nodes.push_back(nodes[1]);
+      nodes.push_back(nodes[7]);
+
+      std::vector<DyadicNode> sorted = nodes;
+      std::sort(sorted.begin(), sorted.end(),
+                [](const DyadicNode& a, const DyadicNode& b) {
+                  return std::pair(a.Lo(), -a.level) <
+                         std::pair(b.Lo(), -b.level);
+                });
+      std::vector<DyadicNode> shuffled = nodes;
+      rng.Shuffle(shuffled);
+      std::vector<DyadicNode> none;
+      for (const auto* order : {&sorted, &shuffled, &none}) {
+        std::vector<Label> seeds(3);  // stale contents must be replaced
+        dprf.NodeSeedsInto(*order, seeds);
+        ASSERT_EQ(seeds.size(), order->size());
+        for (size_t i = 0; i < seeds.size(); ++i) {
+          const DyadicNode& n = (*order)[i];
+          EXPECT_EQ(seeds[i], NaiveNodeSeed(key, bits, n))
+              << "bits=" << bits << " level=" << n.level
+              << " index=" << n.index << " at " << i
+              << (order == &sorted ? " (sorted)" : " (shuffled)");
+        }
+      }
+    }
+  }
+}
+
+TEST(GgmDprfTest, DelegateTokensAndOrderPinned) {
+  // Fixed key and Rng seed: the tokens and their shuffled order are the
+  // ones the per-node derivation emitted before the batch walk existed
+  // (generated by that implementation; both backends, BRC and URC).
+  struct Golden {
+    crypto::GgmPrg::Backend backend;
+    CoverTechnique technique;
+    Range range;
+    std::vector<std::pair<std::string, int>> tokens;
+  };
+  const std::vector<Golden> goldens = {
+      {crypto::GgmPrg::Backend::kHmac, CoverTechnique::kBrc, Range{37, 300},
+       {{"41555cab1f38ac5c7456e18175b65428", 4},
+        {"a423141ff91c63cc404ddf7639689565", 6},
+        {"bf1bf82b90fe494bc503dd9be1437151", 1},
+        {"ae2f9c3c2a2ade2e56bcb6d73fcb894c", 3},
+        {"732a5d83d4b68ddbbc1a0fc69261c34e", 0},
+        {"48078bebd5c9e8486c56d58599a60869", 2},
+        {"9d27b2a7d629f7a728cb835aa7cfde78", 0},
+        {"6943ef4be6729cbeb2d59aa539750bbb", 5},
+        {"bf4ca9098adb4140fa58e4010ea85d94", 7},
+        {"647afe91aa965910a023e806b9a04a2e", 3}}},
+      {crypto::GgmPrg::Backend::kHmac, CoverTechnique::kUrc, Range{8, 39},
+       {{"ceca4a6c5bae32422ede11202fea3721", 1},
+        {"77cfb5dbfbeefc892fc6194c7412afd2", 0},
+        {"55e5c900e82719873fdc4cf9385a7438", 0},
+        {"8fd1db89afe1ee89d2d0f44312fe7a44", 3},
+        {"e2be828d1829db1fe29891764f46da98", 2},
+        {"0d87c686c2b28c294fbaf5114fd9466c", 4}}},
+      {crypto::GgmPrg::Backend::kAes, CoverTechnique::kBrc, Range{37, 300},
+       {{"f0b7d8aa5795a1008ac6c9a8d3b756ca", 4},
+        {"d0c051e930ffd2b3ff81894a4c2f7648", 6},
+        {"1e44b171622f5813d86a5e957b97db78", 1},
+        {"3e96a3be8d4d8f1e8ae8241801b99d2d", 3},
+        {"7690767a845ab523ac059931ba4b4645", 0},
+        {"c09a91d06e89ed051b1b423c34d42423", 2},
+        {"2e4906e2a3f55f3a3538f8303c9cd611", 0},
+        {"aa062ce19d38f1e98d81b41edd6fa481", 5},
+        {"debf870ac7e3b51b2ea219ef587e0c0f", 7},
+        {"c9e697ac66e91260d4e510cfe6ba8e20", 3}}},
+      {crypto::GgmPrg::Backend::kAes, CoverTechnique::kUrc, Range{8, 39},
+       {{"8d38c9f22f02b3b5ec82cf01b1611de1", 1},
+        {"a543a285d4b86c494e7e7ca910e474d5", 0},
+        {"1a10a9d7191725f921948ad331620058", 0},
+        {"56311a8b94ec34abb8f4cd487c0fcf93", 3},
+        {"bad2f68c963139a9bf2b29bf935c66c0", 2},
+        {"b05f971bc96e22fb608d0485fec82d0c", 4}}},
+  };
+  for (const Golden& g : goldens) {
+    crypto::PrgBackendGuard guard(g.backend);
+    const GgmDprf dprf(FromHex("000102030405060708090a0b0c0d0e0f"), 10);
+    Rng rng(42);
+    const std::vector<GgmDprf::Token> tokens =
+        dprf.Delegate(g.range, g.technique, rng);
+    ASSERT_EQ(tokens.size(), g.tokens.size());
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      EXPECT_EQ(ToHex(tokens[i].seed), g.tokens[i].first) << "token " << i;
+      EXPECT_EQ(tokens[i].level, g.tokens[i].second) << "token " << i;
+    }
+  }
 }
 
 }  // namespace
