@@ -22,7 +22,6 @@
 #include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
 #include "sse/keyword_keys.h"
-#include "sse/packed_multimap.h"
 
 namespace rsse {
 namespace {
@@ -260,26 +259,6 @@ void BM_DprfExpandSubtreeAes(benchmark::State& state) {
 }
 BENCHMARK(BM_DprfExpandSubtreeAes)->Arg(4)->Arg(8)->Arg(12);
 
-void BM_EmmBuild(benchmark::State& state) {
-  sse::PlainMultimap postings;
-  const int64_t keywords = state.range(0);
-  const int64_t per_keyword = 16;
-  for (int64_t w = 0; w < keywords; ++w) {
-    Bytes keyword;
-    AppendUint64(keyword, static_cast<uint64_t>(w));
-    for (int64_t i = 0; i < per_keyword; ++i) {
-      postings[keyword].push_back(
-          sse::EncodeIdPayload(static_cast<uint64_t>(w * 1000 + i)));
-    }
-  }
-  sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sse::EncryptedMultimap::Build(postings, deriver));
-  }
-  state.SetItemsProcessed(state.iterations() * keywords * per_keyword);
-}
-BENCHMARK(BM_EmmBuild)->Arg(64)->Arg(512);
-
 sse::PlainMultimap MakeBuildPostings(int64_t keywords, int64_t per_keyword) {
   sse::PlainMultimap postings;
   for (int64_t w = 0; w < keywords; ++w) {
@@ -292,6 +271,28 @@ sse::PlainMultimap MakeBuildPostings(int64_t keywords, int64_t per_keyword) {
   }
   return postings;
 }
+
+/// The paper's flat Π_bas dictionary: a 1-shard ShardedEmm built on one
+/// thread.
+shard::ShardOptions FlatOptions() {
+  shard::ShardOptions options;
+  options.shards = 1;
+  options.threads = 1;
+  return options;
+}
+
+void BM_EmmBuild(benchmark::State& state) {
+  const int64_t keywords = state.range(0);
+  const int64_t per_keyword = 16;
+  sse::PlainMultimap postings = MakeBuildPostings(keywords, per_keyword);
+  sse::PrfKeyDeriver deriver(crypto::GenerateKey());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        shard::ShardedEmm::Build(postings, deriver, FlatOptions()));
+  }
+  state.SetItemsProcessed(state.iterations() * keywords * per_keyword);
+}
+BENCHMARK(BM_EmmBuild)->Arg(64)->Arg(512);
 
 void BM_ShardedEmmBuild(benchmark::State& state) {
   // Args: {shards, build threads}. (1, 1) is the paper-faithful flat
@@ -366,7 +367,7 @@ void BM_EmmSearch(benchmark::State& state) {
     postings[ToBytes("w")].push_back(sse::EncodeIdPayload(i));
   }
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  auto emm = sse::EncryptedMultimap::Build(postings, deriver);
+  auto emm = shard::ShardedEmm::Build(postings, deriver, FlatOptions());
   sse::KeywordKeys token = deriver.Derive(ToBytes("w"));
   for (auto _ : state) benchmark::DoNotOptimize(emm->Search(token));
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -402,22 +403,6 @@ void BM_KeywordTokenSearch(benchmark::State& state) {
                           kPerKeyword);
 }
 BENCHMARK(BM_KeywordTokenSearch)->Arg(16)->Arg(256);
-
-void BM_PackedSearch(benchmark::State& state) {
-  // Ablation: the paper's space-efficient packed SSE backend (TSet-style,
-  // S/K parameters) vs the flat dictionary of BM_EmmSearch.
-  std::vector<std::pair<Bytes, std::vector<uint64_t>>> postings(1);
-  postings[0].first = ToBytes("w");
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    postings[0].second.push_back(static_cast<uint64_t>(i));
-  }
-  sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  auto packed = sse::PackedMultimap::Build(postings, deriver);
-  sse::KeywordKeys token = deriver.Derive(ToBytes("w"));
-  for (auto _ : state) benchmark::DoNotOptimize(packed->Search(token));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PackedSearch)->Arg(10)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace rsse

@@ -1,7 +1,8 @@
 // Reproduces Figure 7: server-side search time as a function of the query
 // range size (% of the domain), for every scheme plus the pure-SSE floor
 // (the unavoidable cost of retrieving the r results with the underlying
-// encrypted multimap, reported from its measured per-result throughput).
+// encrypted multimap — a 1-shard ShardedEmm, the paper's flat Π_bas
+// dictionary — reported from its measured per-result throughput).
 //
 // Paper shapes to verify:
 //  * Logarithmic-BRC/URC coincide with the SSE floor;
@@ -16,6 +17,7 @@
 #include "common/stats.h"
 #include "crypto/random.h"
 #include "data/workload.h"
+#include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
 
 namespace rsse::bench {
@@ -41,7 +43,10 @@ double MeasureSsePerResultNanos() {
     postings[ToBytes("floor")].push_back(sse::EncodeIdPayload(i));
   }
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  auto emm = sse::EncryptedMultimap::Build(postings, deriver);
+  shard::ShardOptions flat;
+  flat.shards = 1;
+  flat.threads = 1;
+  auto emm = shard::ShardedEmm::Build(postings, deriver, flat);
   WallTimer timer;
   size_t got = emm->Search(deriver.Derive(ToBytes("floor"))).size();
   return static_cast<double>(timer.ElapsedNanos()) /

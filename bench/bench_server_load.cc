@@ -1,55 +1,33 @@
-// Multi-client load generator for rsse_serverd's concurrent streaming
-// core: N closed connections issue range searches open-loop (arrivals on a
-// fixed schedule, latency measured from the *scheduled* arrival, so server
-// queueing is charged to the server, not hidden by a slow client).
+// Cold-start time-to-first-query of rsse_serverd's durable stores: the
+// owner ships a Constant-BRC index (ExportServerSetup + InstallServerSetup)
+// into a --data-dir, the server stops, and a successor is timed from
+// construction through Listen() to its first answered query — once
+// booting off a v1 snapshot (heap deserialize, cold_start_heap) and once
+// off a v2 snapshot (mmap, cold_start_mmap). Gate: both substrates must
+// return identical id sets, else the driver exits non-zero.
 //
-// Three scenario families per client count:
-//   baseline     N well-behaved clients
-//   slow_reader  same, plus one drip-reading client stuck on a full-domain
-//                batch — the backpressure acceptance case: its connection
-//                parks at max_outbound_bytes and must not move other
-//                clients' p99
-//   nagle        single-client small-frame ping-pong with TCP_NODELAY off
-//                vs on (requests split across two send() calls, the
-//                pattern that eats Nagle/delayed-ACK stalls)
-//
-// plus a restart_recovery row: the index and a WAL of update batches are
-// persisted into a --data-dir, the server dies without a drain, and the
-// successor's cold Listen() (snapshot load + WAL replay) is timed. The
-// row is also a gate — dropped stores or WAL records fail the run.
-//
-// plus a cold_start pair: time-to-first-query for a successor booting off
-// a v1 snapshot (heap deserialize) vs a v2 snapshot (mmap). Gate: both
-// substrates must return identical id sets.
-//
-// The driver exits non-zero when the server's peak per-connection outbound
-// queue exceeds --max-outbound-bytes, so the ctest smoke run doubles as a
-// backpressure regression gate.
+// Steady-state serving (knee qps at a p99 limit, per-layer traces) is
+// measured by servebench/; backpressure by ServerLoopbackTest's
+// SlowReaderIsBackpressuredNotBuffered; restart recovery by the
+// persist, restart-conformance and serverd-process suites.
 
-#include <arpa/inet.h>
 #include <dirent.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "data/generators.h"
 #include "rsse/constant.h"
 #include "server/client.h"
+#include "server/remote_backend.h"
 #include "server/server.h"
-#include "server/wire.h"
 
 namespace rsse::bench {
 namespace {
@@ -60,201 +38,19 @@ using server::ServerOptions;
 using Clock = std::chrono::steady_clock;
 
 constexpr char kUsage[] =
-    "bench_server_load: multi-client open-loop load on the streaming "
-    "server.\n"
-    "  --clients=<max>            (default 32; powers of two up to this)\n"
-    "  --seconds=<per cell>       (default 2.0)\n"
-    "  --rate=<queries/s/client>  (default 200)\n"
+    "bench_server_load: cold-start time-to-first-query, heap vs mmap.\n"
     "  --n=<entries>              (default 60000)\n"
     "  --domain=<size>            (default 65536)\n"
-    "  --range=<query width>      (default domain/64)\n"
     "  --workers=<pool size>      (default 4)\n"
-    "  --max-outbound-bytes=<n>   (default 32768; 0 disables backpressure)\n"
     "  --smoke=1                  (~1 s workload for CI smoke runs)\n"
     "  --json=1                   (machine-readable JSON-lines rows)\n";
-
-/// One well-behaved client: open-loop arrivals at `interval`, one range
-/// query per arrival, latency from the scheduled arrival time.
-struct ClientResult {
-  std::vector<double> latencies_ms;
-  uint64_t errors = 0;
-};
-
-ClientResult RunClient(uint16_t port,
-                       const std::vector<std::vector<GgmDprf::Token>>& pool,
-                       size_t thread_index, Clock::duration interval,
-                       Clock::duration duration) {
-  ClientResult result;
-  EmmClient client;
-  if (!client.Connect("127.0.0.1", port).ok()) {
-    result.errors = 1;
-    return result;
-  }
-  const Clock::time_point start = Clock::now();
-  const Clock::time_point deadline = start + duration;
-  for (uint64_t i = 0;; ++i) {
-    const Clock::time_point scheduled = start + interval * i;
-    if (scheduled >= deadline) break;
-    std::this_thread::sleep_until(scheduled);
-    EmmClient::BatchQuery query;
-    query.query_id = static_cast<uint32_t>(i);
-    query.tokens = pool[(thread_index * 31 + i) % pool.size()];
-    auto outcome = client.SearchBatch({query});
-    if (!outcome.ok()) {
-      ++result.errors;
-      break;  // the connection is closed on failure; stop this client
-    }
-    result.latencies_ms.push_back(
-        std::chrono::duration<double, std::milli>(Clock::now() - scheduled)
-            .count());
-  }
-  return result;
-}
-
-/// The pathological peer: sends one full-domain batch, then reads the
-/// response stream a few hundred bytes at a time. Its connection's
-/// outbound queue hits the high-water mark almost immediately and must
-/// stay parked there while everyone else is served.
-void RunSlowReader(uint16_t port, const Bytes& request_frame,
-                   const std::atomic<bool>& stop) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return;
-  // A tiny kernel receive buffer so the server's socket fills fast and
-  // unsent output accumulates server-side, where the cap applies.
-  const int rcvbuf = 4096;
-  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return;
-  }
-  if (send(fd, request_frame.data(), request_frame.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(request_frame.size())) {
-    close(fd);
-    return;
-  }
-  uint8_t chunk[256];
-  while (!stop.load(std::memory_order_relaxed)) {
-    const ssize_t n = recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
-    if (n == 0) break;
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-        errno != EINTR) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  close(fd);
-}
-
-/// Small-frame ping-pong with the request split across two send() calls —
-/// with Nagle enabled the second half waits for the ACK of the first, the
-/// stall TCP_NODELAY removes. Returns p50 round-trip in ms.
-double NagleProbeP50(uint16_t port, bool nodelay, int iterations) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1.0;
-  if (nodelay) {
-    const int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return -1.0;
-  }
-  Bytes frame;
-  if (!server::EncodeFrame(server::FrameType::kStatsReq, {}, frame)) {
-    close(fd);
-    return -1.0;
-  }
-  StatsAccumulator rtt_ms;
-  Bytes in;
-  size_t offset = 0;
-  const Clock::time_point probe_deadline =
-      Clock::now() + std::chrono::seconds(2);
-  for (int i = 0; i < iterations && Clock::now() < probe_deadline; ++i) {
-    const Clock::time_point start = Clock::now();
-    // Header first, body second: two small writes on one RTT-bound
-    // exchange, the worst case for Nagle + delayed ACK.
-    if (send(fd, frame.data(), 4, MSG_NOSIGNAL) != 4 ||
-        send(fd, frame.data() + 4, frame.size() - 4, MSG_NOSIGNAL) !=
-            static_cast<ssize_t>(frame.size() - 4)) {
-      break;
-    }
-    server::Frame reply;
-    bool got = false;
-    while (!got) {
-      const server::FrameParse parse =
-          server::DecodeFrame(in, offset, reply, nullptr);
-      if (parse == server::FrameParse::kFrame) {
-        got = true;
-        break;
-      }
-      if (parse == server::FrameParse::kMalformed) break;
-      uint8_t chunk[4096];
-      const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
-      in.insert(in.end(), chunk, chunk + n);
-    }
-    if (!got) break;
-    if (offset == in.size()) {
-      in.clear();
-      offset = 0;
-    }
-    rtt_ms.Add(std::chrono::duration<double, std::milli>(Clock::now() - start)
-                   .count());
-  }
-  close(fd);
-  return rtt_ms.count() == 0 ? -1.0 : rtt_ms.Percentile(50);
-}
-
-void PrintScenarioRow(const char* scenario, size_t clients,
-                      const std::vector<double>& latencies, uint64_t errors,
-                      double elapsed_s, uint64_t peak_outbound) {
-  StatsAccumulator acc;
-  for (double v : latencies) acc.Add(v);
-  char clients_buf[24];
-  char queries_buf[24];
-  char qps_buf[24];
-  char p50_buf[24];
-  char p99_buf[24];
-  char err_buf[16];
-  char peak_buf[24];
-  std::snprintf(clients_buf, sizeof(clients_buf), "%zu", clients);
-  std::snprintf(queries_buf, sizeof(queries_buf), "%zu", acc.count());
-  std::snprintf(qps_buf, sizeof(qps_buf), "%.0f",
-                elapsed_s > 0 ? static_cast<double>(acc.count()) / elapsed_s
-                              : 0.0);
-  std::snprintf(p50_buf, sizeof(p50_buf), "%.3f",
-                acc.count() ? acc.Percentile(50) : -1.0);
-  std::snprintf(p99_buf, sizeof(p99_buf), "%.3f",
-                acc.count() ? acc.Percentile(99) : -1.0);
-  std::snprintf(err_buf, sizeof(err_buf), "%llu",
-                static_cast<unsigned long long>(errors));
-  std::snprintf(peak_buf, sizeof(peak_buf), "%llu",
-                static_cast<unsigned long long>(peak_outbound));
-  PrintRow({scenario, clients_buf, queries_buf, qps_buf, p50_buf, p99_buf,
-            err_buf, peak_buf});
-}
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv, kUsage);
   const bool smoke = flags.Smoke();
-  const uint64_t max_clients = flags.GetUint("clients", smoke ? 4 : 32);
-  const double seconds = flags.GetDouble("seconds", smoke ? 0.3 : 2.0);
-  const double rate = flags.GetDouble("rate", smoke ? 60.0 : 200.0);
   const uint64_t n = flags.GetUint("n", smoke ? 8000 : 60000);
   const uint64_t domain = flags.GetUint("domain", uint64_t{1} << 16);
-  const uint64_t range_width =
-      flags.GetUint("range", std::max<uint64_t>(domain / 64, 1));
   const int workers = static_cast<int>(flags.GetUint("workers", 4));
-  const size_t max_outbound =
-      static_cast<size_t>(flags.GetUint("max-outbound-bytes", 32 * 1024));
 
   // Owner side: skew-free dataset under Constant-BRC, sharded index.
   Rng rng(17);
@@ -265,187 +61,81 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "index build failed\n");
     return 1;
   }
-
-  ServerOptions options;
-  options.search_workers = workers;
-  options.max_outbound_bytes = max_outbound;
-  // Small result frames: the high-water mark admits one frame into an
-  // empty outbound queue whatever its size (progress guarantee), so the
-  // strict peak <= cap gate below needs frames well under the cap.
-  options.max_ids_per_result_frame = 512;
-  EmmServer server(options);
-  if (!server.Listen().ok()) {
-    std::fprintf(stderr, "listen failed\n");
+  Result<ServerSetup> setup = scheme.ExportServerSetup();
+  if (!setup.ok()) {
+    std::fprintf(stderr, "export failed: %s\n",
+                 setup.status().ToString().c_str());
     return 1;
   }
-  std::thread serve_thread([&server] { (void)server.Serve(); });
-  {
-    EmmClient setup;
-    if (!setup.Connect("127.0.0.1", server.port()).ok() ||
-        !setup.Setup(scheme.SerializeIndex()).ok()) {
-      std::fprintf(stderr, "setup failed\n");
-      server.Shutdown();
-      serve_thread.join();
-      return 1;
-    }
-  }
 
-  // Delegated token sets, pre-generated so client threads never touch the
-  // owner's scheme state.
-  std::vector<std::vector<GgmDprf::Token>> pool(64);
-  for (size_t i = 0; i < pool.size(); ++i) {
-    const uint64_t lo = rng.Uniform(0, domain - range_width);
-    pool[i] = scheme.Delegate(Range{lo, lo + range_width - 1});
-  }
-  // The slow reader's poison pill: one query covering the whole domain.
-  Bytes slow_request;
-  {
-    server::SearchBatchRequest req;
-    server::WireQuery query;
-    query.query_id = 0;
-    for (const GgmDprf::Token& t : scheme.Delegate(Range{0, domain - 1})) {
-      server::WireToken wt;
-      wt.level = static_cast<uint8_t>(t.level);
-      std::memcpy(wt.seed.data(), t.seed.data(), kLabelBytes);
-      query.tokens.push_back(wt);
-    }
-    req.queries.push_back(std::move(query));
-    if (!server::EncodeFrame(server::FrameType::kSearchBatchReq,
-                             req.Encode(), slow_request)) {
-      std::fprintf(stderr, "slow-reader request exceeds frame limit\n");
-      server.Shutdown();
-      serve_thread.join();
-      return 1;
-    }
-  }
-
-  std::vector<size_t> client_counts;
-  for (size_t c = 1; c < max_clients; c *= 2) client_counts.push_back(c);
-  client_counts.push_back(max_clients);
-
-  const auto interval = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(1.0 / rate));
-  const auto cell_duration = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(seconds));
-
+  // The column set is the one this driver has always printed, so rows
+  // stay aligned with earlier snapshots in compare_bench.
   PrintHeaderRow({"scenario", "clients", "queries", "qps", "p50_ms",
                   "p99_ms", "errors", "peak_out_bytes"});
 
-  for (const char* scenario : {"baseline", "slow_reader"}) {
-    const bool with_slow = std::strcmp(scenario, "slow_reader") == 0;
-    for (size_t clients : client_counts) {
-      std::atomic<bool> stop_slow{false};
-      std::thread slow_thread;
-      if (with_slow) {
-        slow_thread = std::thread([&] {
-          RunSlowReader(server.port(), slow_request, stop_slow);
-        });
-        // Let the drip-reader's batch reach the worker pool and park.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-      std::vector<ClientResult> results(clients);
-      std::vector<std::thread> threads;
-      threads.reserve(clients);
-      const Clock::time_point cell_start = Clock::now();
-      for (size_t t = 0; t < clients; ++t) {
-        threads.emplace_back([&, t] {
-          results[t] =
-              RunClient(server.port(), pool, t, interval, cell_duration);
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      const double elapsed_s =
-          std::chrono::duration<double>(Clock::now() - cell_start).count();
-      if (with_slow) {
-        stop_slow.store(true, std::memory_order_relaxed);
-        slow_thread.join();
-      }
-      std::vector<double> latencies;
-      uint64_t errors = 0;
-      for (ClientResult& r : results) {
-        latencies.insert(latencies.end(), r.latencies_ms.begin(),
-                         r.latencies_ms.end());
-        errors += r.errors;
-      }
-      PrintScenarioRow(scenario, clients, latencies, errors, elapsed_s,
-                       server.stats().peak_outbound_bytes.value());
-    }
-  }
-
-  // TCP_NODELAY ablation: the stall the client-side satellite fix removes.
-  const int probe_iters = smoke ? 50 : 300;
-  for (const bool nodelay : {false, true}) {
-    const double p50 = NagleProbeP50(server.port(), nodelay, probe_iters);
-    char p50_buf[24];
-    std::snprintf(p50_buf, sizeof(p50_buf), "%.3f", p50);
-    PrintRow({nodelay ? "nagle_off_fixed" : "nagle_on", "1", "-", "-",
-              p50_buf, "-", "0", "-"});
-  }
-
-  const uint64_t peak = server.stats().peak_outbound_bytes.value();
-  server.Shutdown();
-  serve_thread.join();
-
-  // Restart-recovery timing: persist the same index plus a WAL of update
-  // batches into a --data-dir, kill the server without a drain, and time
-  // the successor's cold Listen() (snapshot load + WAL replay). The row
-  // doubles as a correctness gate: a recovery that drops stores or WAL
-  // records fails the smoke run.
-  {
-    char dir_template[] = "/tmp/rsse_bench_recover_XXXXXX";
+  // The mmap row is the headline number for the v2 format: Listen() maps
+  // the snapshot instead of deserializing it, so TTFQ is dominated by the
+  // query itself.
+  const uint64_t cold_hi = std::min<uint64_t>(domain, 4096) - 1;
+  const std::vector<GgmDprf::Token> cold_tokens =
+      scheme.Delegate(Range{0, cold_hi});
+  std::vector<uint64_t> ids_by_mode[2];
+  double ttfq_ms[2] = {-1.0, -1.0};
+  bool cold_ok = true;
+  for (int mode = 0; mode < 2; ++mode) {  // 0 = heap, 1 = mmap
+    char dir_template[] = "/tmp/rsse_bench_cold_XXXXXX";
     if (mkdtemp(dir_template) == nullptr) {
       std::fprintf(stderr, "mkdtemp failed\n");
       return 1;
     }
     const std::string data_dir = dir_template;
-    ServerOptions durable = options;
+    ServerOptions durable;
+    durable.search_workers = workers;
     durable.data_dir = data_dir;
-    const uint64_t wal_batches = smoke ? 8 : 64;
+    durable.mmap_stores = mode;
     {
       EmmServer writer(durable);
       if (!writer.Listen().ok()) {
-        std::fprintf(stderr, "durable listen failed\n");
+        std::fprintf(stderr, "cold-start writer listen failed\n");
         return 1;
       }
       std::thread writer_thread([&writer] { (void)writer.Serve(); });
-      EmmClient setup;
-      bool ok = setup.Connect("127.0.0.1", writer.port()).ok() &&
-                setup.Setup(scheme.SerializeIndex()).ok();
-      for (uint64_t b = 0; ok && b < wal_batches; ++b) {
-        std::vector<std::pair<Label, Bytes>> entries;
-        for (int e = 0; e < 16; ++e) {
-          Label label;
-          for (size_t i = 0; i < label.size(); ++i) {
-            label[i] = static_cast<uint8_t>(rng.Uniform(0, 255));
-          }
-          entries.emplace_back(label, Bytes(48, static_cast<uint8_t>(b)));
-        }
-        ok = setup.Update(entries).ok();
-      }
+      EmmClient owner;
+      const bool ok =
+          owner.Connect("127.0.0.1", writer.port()).ok() &&
+          server::InstallServerSetup(owner, *setup).ok();
       writer.Shutdown();
       writer_thread.join();
       if (!ok) {
-        std::fprintf(stderr, "durable workload failed\n");
+        std::fprintf(stderr, "cold-start setup failed\n");
         return 1;
       }
     }
-    const Clock::time_point recover_start = Clock::now();
-    EmmServer recovered(durable);
-    const bool recover_ok = recovered.Listen().ok();
-    const double recover_ms = std::chrono::duration<double, std::milli>(
-                                  Clock::now() - recover_start)
-                                  .count();
-    const auto& rstats = recovered.recovery_stats();
-    const bool exact = recover_ok && rstats.stores_recovered == 1 &&
-                       rstats.wal_records_applied == wal_batches;
-    char wal_buf[24];
-    char ms_buf[24];
-    std::snprintf(wal_buf, sizeof(wal_buf), "%llu",
-                  static_cast<unsigned long long>(rstats.wal_records_applied));
-    std::snprintf(ms_buf, sizeof(ms_buf), "%.3f", recover_ms);
-    PrintRow({"restart_recovery", "1", wal_buf, "-", ms_buf, "-",
-              exact ? "0" : "1", "-"});
-    // Best-effort cleanup of the flat data dir.
+    const Clock::time_point cold_begin = Clock::now();
+    EmmServer cold(durable);
+    bool ok = cold.Listen().ok();
+    std::thread cold_thread;
+    if (ok) cold_thread = std::thread([&cold] { (void)cold.Serve(); });
+    if (ok) {
+      EmmClient probe;
+      ok = probe.Connect("127.0.0.1", cold.port()).ok();
+      if (ok) {
+        EmmClient::BatchQuery query;
+        query.query_id = 0;
+        query.tokens = cold_tokens;
+        auto outcome = probe.SearchBatch({query});
+        ok = outcome.ok();
+        if (ok) {
+          ttfq_ms[mode] = std::chrono::duration<double, std::milli>(
+                              Clock::now() - cold_begin)
+                              .count();
+          ids_by_mode[mode] = outcome->ids[0];
+          std::sort(ids_by_mode[mode].begin(), ids_by_mode[mode].end());
+        }
+      }
+    }
+    cold.Shutdown();
+    if (cold_thread.joinable()) cold_thread.join();
     if (DIR* d = opendir(data_dir.c_str())) {
       while (dirent* entry = readdir(d)) {
         const std::string name = entry->d_name;
@@ -456,120 +146,26 @@ int Run(int argc, char** argv) {
       closedir(d);
     }
     rmdir(data_dir.c_str());
-    if (!exact) {
-      std::fprintf(stderr,
-                   "FAIL: restart recovery dropped state (stores %zu, wal "
-                   "records %zu/%llu)\n",
-                   rstats.stores_recovered, rstats.wal_records_applied,
-                   static_cast<unsigned long long>(wal_batches));
-      return 1;
-    }
+    cold_ok = cold_ok && ok;
   }
-
-  // Cold-start time-to-first-query: persist the index once per substrate
-  // (v1 snapshot for the heap path, v2 for mmap), then time a successor
-  // from construction through Listen() to its first answered query. The
-  // mmap row is the headline number for the v2 format: Listen() maps the
-  // snapshot instead of deserializing it, so TTFQ is dominated by the
-  // query itself. The pair doubles as a correctness gate — both substrates
-  // must return identical id sets for the same delegated range.
-  {
-    const uint64_t cold_hi = std::min<uint64_t>(domain, 4096) - 1;
-    const std::vector<GgmDprf::Token> cold_tokens =
-        scheme.Delegate(Range{0, cold_hi});
-    std::vector<uint64_t> ids_by_mode[2];
-    double ttfq_ms[2] = {-1.0, -1.0};
-    bool cold_ok = true;
-    for (int mode = 0; mode < 2; ++mode) {  // 0 = heap, 1 = mmap
-      char dir_template[] = "/tmp/rsse_bench_cold_XXXXXX";
-      if (mkdtemp(dir_template) == nullptr) {
-        std::fprintf(stderr, "mkdtemp failed\n");
-        return 1;
-      }
-      const std::string data_dir = dir_template;
-      ServerOptions durable = options;
-      durable.data_dir = data_dir;
-      durable.mmap_stores = mode;
-      {
-        EmmServer writer(durable);
-        if (!writer.Listen().ok()) {
-          std::fprintf(stderr, "cold-start writer listen failed\n");
-          return 1;
-        }
-        std::thread writer_thread([&writer] { (void)writer.Serve(); });
-        EmmClient setup;
-        const bool ok = setup.Connect("127.0.0.1", writer.port()).ok() &&
-                        setup.Setup(scheme.SerializeIndex()).ok();
-        writer.Shutdown();
-        writer_thread.join();
-        if (!ok) {
-          std::fprintf(stderr, "cold-start setup failed\n");
-          return 1;
-        }
-      }
-      const Clock::time_point cold_begin = Clock::now();
-      EmmServer cold(durable);
-      bool ok = cold.Listen().ok();
-      std::thread cold_thread;
-      if (ok) cold_thread = std::thread([&cold] { (void)cold.Serve(); });
-      if (ok) {
-        EmmClient probe;
-        ok = probe.Connect("127.0.0.1", cold.port()).ok();
-        if (ok) {
-          EmmClient::BatchQuery query;
-          query.query_id = 0;
-          query.tokens = cold_tokens;
-          auto outcome = probe.SearchBatch({query});
-          ok = outcome.ok();
-          if (ok) {
-            ttfq_ms[mode] = std::chrono::duration<double, std::milli>(
-                                Clock::now() - cold_begin)
-                                .count();
-            ids_by_mode[mode] = outcome->ids[0];
-            std::sort(ids_by_mode[mode].begin(), ids_by_mode[mode].end());
-          }
-        }
-      }
-      cold.Shutdown();
-      if (cold_thread.joinable()) cold_thread.join();
-      if (DIR* d = opendir(data_dir.c_str())) {
-        while (dirent* entry = readdir(d)) {
-          const std::string name = entry->d_name;
-          if (name != "." && name != "..") {
-            unlink((data_dir + "/" + name).c_str());
-          }
-        }
-        closedir(d);
-      }
-      rmdir(data_dir.c_str());
-      cold_ok = cold_ok && ok;
-    }
-    const bool identical = cold_ok && ids_by_mode[0] == ids_by_mode[1];
-    for (int mode = 0; mode < 2; ++mode) {
-      char ids_buf[24];
-      char ms_buf[24];
-      std::snprintf(ids_buf, sizeof(ids_buf), "%zu",
-                    ids_by_mode[mode].size());
-      std::snprintf(ms_buf, sizeof(ms_buf), "%.3f", ttfq_ms[mode]);
-      PrintRow({mode == 0 ? "cold_start_heap" : "cold_start_mmap", "1",
-                ids_buf, "-", ms_buf, "-", identical ? "0" : "1", "-"});
-    }
-    if (!identical) {
-      std::fprintf(stderr,
-                   "FAIL: cold-start substrates disagree (heap %zu ids, "
-                   "mmap %zu ids)\n",
-                   ids_by_mode[0].size(), ids_by_mode[1].size());
-      return 1;
-    }
+  const bool identical = cold_ok && ids_by_mode[0] == ids_by_mode[1];
+  for (int mode = 0; mode < 2; ++mode) {
+    char ids_buf[24];
+    char ms_buf[24];
+    std::snprintf(ids_buf, sizeof(ids_buf), "%zu",
+                  ids_by_mode[mode].size());
+    std::snprintf(ms_buf, sizeof(ms_buf), "%.3f", ttfq_ms[mode]);
+    PrintRow({mode == 0 ? "cold_start_heap" : "cold_start_mmap", "1",
+              ids_buf, "-", ms_buf, "-", identical ? "0" : "1", "-"});
   }
-
-  if (max_outbound > 0 && peak > max_outbound) {
+  if (!identical) {
     std::fprintf(stderr,
-                 "FAIL: peak per-connection outbound %llu exceeds the "
-                 "configured cap %zu\n",
-                 static_cast<unsigned long long>(peak), max_outbound);
+                 "FAIL: cold-start substrates disagree (heap %zu ids, "
+                 "mmap %zu ids)\n",
+                 ids_by_mode[0].size(), ids_by_mode[1].size());
     return 1;
   }
+
   return 0;
 }
 

@@ -1,6 +1,6 @@
 /// Fuzzes the v1 framed-blob deserializer: ShardedEmm::Deserialize over an
-/// arbitrary byte string — the format a SetupRequest delivers off the wire
-/// and v1 snapshot recovery reads back from disk. The header, per-shard
+/// arbitrary byte string — the format a SetupStore frame delivers off the
+/// wire and v1 snapshot recovery reads back from disk. The header, per-shard
 /// section framing, and entry tables are all attacker-reachable; Decode
 /// failures must come back as INVALID_ARGUMENT, never as a crash or an
 /// allocation sized by a corrupt length field. A blob that does
@@ -16,8 +16,7 @@ using rsse::shard::ShardedEmm;
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const Bytes blob(data, data + size);
-  auto loaded = ShardedEmm::Deserialize(blob, /*threads=*/1,
-                                        ShardedEmm::kKeepStoredShards);
+  auto loaded = ShardedEmm::Deserialize(blob, /*threads=*/1);
   if (!loaded.ok()) return 0;
 
   ShardedEmm& emm = *loaded;

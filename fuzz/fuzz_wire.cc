@@ -19,9 +19,6 @@ namespace {
 
 void DecodeTyped(FrameType type, const Bytes& payload) {
   switch (type) {
-    case FrameType::kSetupReq:
-      (void)SetupRequest::Decode(payload);
-      break;
     case FrameType::kSetupResp:
       (void)SetupResponse::Decode(payload);
       break;
@@ -77,8 +74,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   // Direct path: every typed decoder sees the raw input, bypassing the
-  // framer's version/type/length screening.
-  for (uint8_t t = 1; t <= 14; ++t) {
+  // framer's version/type/length screening (type 1 is retired).
+  for (uint8_t t = static_cast<uint8_t>(FrameType::kSetupResp);
+       t <= static_cast<uint8_t>(FrameType::kErrorDraining); ++t) {
     DecodeTyped(static_cast<FrameType>(t), buf);
   }
   return 0;

@@ -2,8 +2,8 @@
 /// Every seed is built with the project's own encoders, so the corpora
 /// start inside the formats' valid envelope (coverage-guided mutation gets
 /// a running start), plus deterministic mutations — truncations, byte
-/// flips, oversized length fields — so the replay smoke test also pins the
-/// rejection paths. Deterministic by construction: running this tool twice
+/// flips, oversized length fields, the retired type-1 frame — so the
+/// replay smoke test also pins the rejection paths. Deterministic by construction: running this tool twice
 /// produces byte-identical corpora, keeping regeneration diffs reviewable.
 ///
 ///   gen_corpus [output_root]   (default: fuzz/corpus)
@@ -76,6 +76,19 @@ void WriteMutations(const std::string& target, const std::string& stem,
   }
 }
 
+/// The retired type-1 (legacy Setup) frame around a store blob, byte for
+/// byte as the old encoder wrote it: [u32 len][u8 version][u8 1][u64
+/// blob length][blob]. The framer must reject it as an unknown type.
+Bytes RetiredSetupFrame(const Bytes& index_blob) {
+  Bytes out;
+  rsse::AppendUint32(out, static_cast<uint32_t>(2 + 8 + index_blob.size()));
+  rsse::AppendByte(out, kWireVersion);
+  rsse::AppendByte(out, 1);
+  rsse::AppendUint64(out, index_blob.size());
+  rsse::Append(out, index_blob);
+  return out;
+}
+
 Bytes MustFrame(FrameType type, const Bytes& payload) {
   Bytes out;
   if (!EncodeFrame(type, payload, out)) {
@@ -102,9 +115,6 @@ ShardedEmm MakeStore() {
 }
 
 void GenWire(const ShardedEmm& emm) {
-  SetupRequest setup;
-  setup.index_blob = emm.Serialize();
-
   SearchBatchRequest batch;
   for (uint32_t q = 0; q < 2; ++q) {
     WireQuery query;
@@ -162,7 +172,7 @@ void GenWire(const ShardedEmm& emm) {
   stats.snapshot_format = 2;
 
   const std::pair<const char*, Bytes> frames[] = {
-      {"setup-req", MustFrame(FrameType::kSetupReq, setup.Encode())},
+      {"setup-req", RetiredSetupFrame(emm.Serialize())},
       {"setup-resp",
        MustFrame(FrameType::kSetupResp, SetupResponse{2, 8}.Encode())},
       {"search-batch", MustFrame(FrameType::kSearchBatchReq, batch.Encode())},

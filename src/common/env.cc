@@ -1,30 +1,16 @@
 #include "common/env.h"
 
 #include <cstdlib>
-#include <thread>
 
 namespace rsse {
 
-namespace {
-
-int ResolveOrDefault(int requested, const char* env_var, int fallback) {
+int ResolveThreadCount(int requested, const char* env_var) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv(env_var); env != nullptr) {
     int parsed = std::atoi(env);
     if (parsed > 0) return parsed;
   }
-  return fallback;
-}
-
-}  // namespace
-
-int ResolveThreadCount(int requested, const char* env_var) {
-  return ResolveOrDefault(requested, env_var, 1);
-}
-
-int ResolveThreadCountOrHardware(int requested, const char* env_var) {
-  const int cores = static_cast<int>(std::thread::hardware_concurrency());
-  return ResolveOrDefault(requested, env_var, cores > 0 ? cores : 1);
+  return 1;
 }
 
 }  // namespace rsse

@@ -9,12 +9,6 @@ namespace rsse {
 /// (`RSSE_BUILD_THREADS`) and multi-token search (`RSSE_SEARCH_THREADS`).
 int ResolveThreadCount(int requested, const char* env_var);
 
-/// Like `ResolveThreadCount`, but when neither `requested` nor the env var
-/// decides, falls back to the host's hardware concurrency (minimum 1).
-/// Used where "fit this machine" is the right default — e.g. re-sharding a
-/// loaded dictionary to the serving host's core count.
-int ResolveThreadCountOrHardware(int requested, const char* env_var);
-
 }  // namespace rsse
 
 #endif  // RSSE_COMMON_ENV_H_

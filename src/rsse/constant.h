@@ -79,10 +79,6 @@ class ConstantScheme : public RangeScheme, public TrapdoorGenerator {
   /// `Build`.
   void SetShards(int shards) { shards_ = shards; }
 
-  /// The server-side dictionary, serialized for shipping to a standalone
-  /// `rsse_serverd` (holds only pseudorandom labels and ciphertexts).
-  Bytes SerializeIndex() const { return index_.Serialize(); }
-
   /// Server-side store (exposed for tests/benches).
   const shard::ShardedEmm& index() const { return index_; }
 

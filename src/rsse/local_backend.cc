@@ -119,16 +119,13 @@ Result<ServerSetup> SingleEmmServerSetup(bool built,
   return setup;
 }
 
-Result<shard::ShardedEmm> LoadServableIndex(const Bytes& blob, int threads,
-                                            int target_shards) {
+Result<shard::ShardedEmm> LoadServableIndex(const Bytes& blob, int threads) {
   if (shard::ShardedEmm::IsV2Image(
           ConstByteSpan(blob.data(), blob.size()))) {
-    // A v2 image is its own runtime layout; loading it to heap keeps the
-    // stored shard count (re-sharding would mean rebuilding the layout).
     return shard::ShardedEmm::LoadV2(ConstByteSpan(blob.data(), blob.size()),
                                      threads, /*verify_checksums=*/true);
   }
-  return shard::ShardedEmm::Deserialize(blob, threads, target_shards);
+  return shard::ShardedEmm::Deserialize(blob, threads);
 }
 
 }  // namespace rsse

@@ -81,15 +81,12 @@ Result<ServerSetup> SingleEmmServerSetup(bool built,
                                          const BloomLabelGate* gate = nullptr);
 
 /// Loads a servable encrypted-dictionary blob, accepting either
-/// serialization generation: the v1 framed blob (re-shardable on load via
-/// `target_shards`) or a v2 mmap-native store image (heap-loaded with the
-/// per-section checksum pass; v2 images keep their stored shard layout).
-/// The shared load path of the server's Setup handlers, recovery, and
-/// local tools — so every path that accepts an index accepts both
-/// generations identically.
-Result<shard::ShardedEmm> LoadServableIndex(
-    const Bytes& blob, int threads = 0,
-    int target_shards = shard::ShardedEmm::kKeepStoredShards);
+/// serialization generation: the v1 framed blob or a v2 mmap-native store
+/// image (heap-loaded with the per-section checksum pass). Both keep their
+/// stored shard layout. The load path of local tools — so every tool that
+/// accepts an index accepts both generations identically.
+Result<shard::ShardedEmm> LoadServableIndex(const Bytes& blob,
+                                            int threads = 0);
 
 }  // namespace rsse
 

@@ -160,11 +160,9 @@ Status EmmClient::WriteAll(const uint8_t* data, size_t len) {
   return Status::Ok();
 }
 
-Status EmmClient::SendFrame(FrameType type,
-                            std::initializer_list<ConstByteSpan> parts) {
+Status EmmClient::SendFrame(FrameType type, const Bytes& payload) {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
-  size_t total = 0;
-  for (ConstByteSpan part : parts) total += part.size();
+  const size_t total = payload.size();
   if (total > kMaxFrameBytes - 2) {
     return Status::InvalidArgument("request payload exceeds the wire frame "
                                    "limit; split it into smaller frames");
@@ -178,10 +176,8 @@ Status EmmClient::SendFrame(FrameType type,
   header[4] = kWireVersion;
   header[5] = static_cast<uint8_t>(type);
   RSSE_RETURN_IF_ERROR(WriteAll(header, sizeof(header)));
-  for (ConstByteSpan part : parts) {
-    RSSE_RETURN_IF_ERROR(WriteAll(part.data(), part.size()));
-  }
-  return Status::Ok();
+  if (payload.empty()) return Status::Ok();
+  return WriteAll(payload.data(), payload.size());
 }
 
 Result<Frame> EmmClient::RecvFrame() {
@@ -284,36 +280,10 @@ Result<T> EmmClient::RetryIdempotent(
   }
 }
 
-Result<SetupResponse> EmmClient::Setup(const Bytes& index_blob) {
-  return RetryIdempotent<SetupResponse>([&]() -> Result<SetupResponse> {
-    // Same payload layout as SetupRequest::Encode (u64 length + blob), but
-    // streamed from the caller's buffer instead of copied through it.
-    uint8_t prefix[8];
-    StoreUint64(prefix, index_blob.size());
-    RSSE_RETURN_IF_ERROR(SendFrame(
-        FrameType::kSetupReq,
-        {ConstByteSpan(prefix, sizeof(prefix)),
-         ConstByteSpan(index_blob.data(), index_blob.size())}));
-    Result<Frame> frame = RecvFrame();
-    if (!frame.ok()) return frame.status();
-    if (frame->type == FrameType::kError) return ServerError(frame->payload);
-    if (frame->type == FrameType::kErrorDraining) {
-      Close();
-      return DrainingError(frame->payload);
-    }
-    if (frame->type != FrameType::kSetupResp) {
-      return Status::Internal("unexpected response frame to Setup");
-    }
-    return SetupResponse::Decode(frame->payload);
-  });
-}
-
 Result<SetupResponse> EmmClient::SetupStore(const SetupStoreRequest& req) {
   return RetryIdempotent<SetupResponse>([&]() -> Result<SetupResponse> {
     const Bytes payload = req.Encode();
-    RSSE_RETURN_IF_ERROR(SendFrame(
-        FrameType::kSetupStoreReq,
-        {ConstByteSpan(payload.data(), payload.size())}));
+    RSSE_RETURN_IF_ERROR(SendFrame(FrameType::kSetupStoreReq, payload));
     Result<Frame> frame = RecvFrame();
     if (!frame.ok()) return frame.status();
     if (frame->type == FrameType::kError) return ServerError(frame->payload);
@@ -332,9 +302,7 @@ Result<EmmClient::KeywordOutcome> EmmClient::SearchKeyword(
     const SearchKeywordRequest& req) {
   return RetryIdempotent<KeywordOutcome>([&]() -> Result<KeywordOutcome> {
     const Bytes payload = req.Encode();
-    RSSE_RETURN_IF_ERROR(SendFrame(
-        FrameType::kSearchKeywordReq,
-        {ConstByteSpan(payload.data(), payload.size())}));
+    RSSE_RETURN_IF_ERROR(SendFrame(FrameType::kSearchKeywordReq, payload));
     KeywordOutcome outcome;
     for (;;) {
       Result<Frame> frame = RecvFrame();
@@ -386,9 +354,7 @@ Result<EmmClient::BatchOutcome> EmmClient::SearchBatch(
   }
   const Bytes payload = req.Encode();
   return RetryIdempotent<BatchOutcome>([&]() -> Result<BatchOutcome> {
-    RSSE_RETURN_IF_ERROR(SendFrame(
-        FrameType::kSearchBatchReq,
-        {ConstByteSpan(payload.data(), payload.size())}));
+    RSSE_RETURN_IF_ERROR(SendFrame(FrameType::kSearchBatchReq, payload));
     BatchOutcome outcome;
     for (;;) {
       Result<Frame> frame = RecvFrame();
@@ -425,8 +391,7 @@ Result<UpdateResponse> EmmClient::Update(
   UpdateRequest req;
   req.entries = entries;
   const Bytes payload = req.Encode();
-  RSSE_RETURN_IF_ERROR(SendFrame(
-      FrameType::kUpdateReq, {ConstByteSpan(payload.data(), payload.size())}));
+  RSSE_RETURN_IF_ERROR(SendFrame(FrameType::kUpdateReq, payload));
   Result<Frame> frame = RecvFrame();
   if (!frame.ok()) return frame.status();
   if (frame->type == FrameType::kError) return ServerError(frame->payload);

@@ -16,7 +16,7 @@
 namespace rsse::server {
 
 /// Tunables for the client's failure handling. The defaults retry
-/// idempotent requests (Setup*/Search*/Stats) over transient transport
+/// idempotent requests (SetupStore/Search*/Stats) over transient transport
 /// failures — connection reset, peer close, recv timeout, a draining
 /// server — reconnecting with jittered exponential backoff between
 /// attempts. Update is never retried: a batch whose response was lost may
@@ -62,11 +62,6 @@ class EmmClient {
   Status Connect(const std::string& host, uint16_t port);
   void Close();
   bool connected() const { return fd_ >= 0; }
-
-  /// Ships a serialized ShardedEmm index for the server to host at the
-  /// primary store slot (the legacy single-store frame: no store id, no
-  /// gate; every frame still carries the current wire version).
-  Result<SetupResponse> Setup(const Bytes& index_blob);
 
   /// Ships one store slot of a scheme's ServerSetup (index blob, store
   /// kind, optional Bloom gate). See `InstallServerSetup` in
@@ -123,10 +118,9 @@ class EmmClient {
  private:
   /// One dial attempt against the recorded endpoint.
   Status DialLocked();
-  /// Sends one frame whose payload is the concatenation of `parts`,
-  /// streaming each part straight from the caller's buffer — Setup ships
-  /// the (potentially huge) index blob without ever copying it.
-  Status SendFrame(FrameType type, std::initializer_list<ConstByteSpan> parts);
+  /// Sends one frame: the header, then `payload` straight from the
+  /// caller's buffer.
+  Status SendFrame(FrameType type, const Bytes& payload);
   Status WriteAll(const uint8_t* data, size_t len);
   /// Blocks until one full frame arrives (or the peer closes/times out).
   Result<Frame> RecvFrame();

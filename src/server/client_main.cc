@@ -1,15 +1,17 @@
 // rsse_client: data-owner CLI for rsse_serverd.
 //
 // Builds a Constant-scheme index over a synthetic dataset, ships it to the
-// server (Setup), then issues one *batched* round trip of range queries —
-// the server dedupes covering GGM nodes shared across the ranges and
-// expands each subtree once.
+// server (ExportServerSetup, one SetupStore frame per store), then issues
+// one *batched* round trip of range queries — the server dedupes covering
+// GGM nodes shared across the ranges and expands each subtree once.
 //
 //   rsse_serverd --port=7370 &
 //   rsse_client --port=7370 --n=20000 --domain=65536
 //               --ranges=100:900,500:1500,500:1500 --verify=1
 //
-// Flags:
+// Flags (numeric values, range bounds included, must parse in full and
+// fit their field, and each range needs lo <= hi < domain; anything else
+// exits 2):
 //   --host=<ipv4>        server address          (default 127.0.0.1)
 //   --port=<port>        server port             (default 7370)
 //   --n=<tuples>         synthetic dataset size  (default 10000)
@@ -18,14 +20,16 @@
 //   --technique=brc|urc  covering technique      (default brc)
 //   --shards=<n>         owner-side build shards (default RSSE_SHARDS)
 //   --ranges=lo:hi,...   batch of ranges         (default 8 overlapping)
-//   --verify=1           compare against local in-process Query
+//   --verify=0|1         compare against local in-process Query
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,29 +37,39 @@
 #include "rsse/constant.h"
 #include "server/cli_flags.h"
 #include "server/client.h"
+#include "server/remote_backend.h"
 
 namespace {
 
 using rsse::server::FlagValue;
+using rsse::server::NumericFlag;
+using rsse::server::ParseNumber;
 
-std::vector<rsse::Range> ParseRanges(const char* spec) {
+/// Parses "lo:hi,lo:hi,..."; a malformed item, lo > hi or a bound past
+/// the domain exits 2.
+std::vector<rsse::Range> ParseRanges(const char* spec, uint64_t domain) {
   std::vector<rsse::Range> ranges;
-  const std::string s = spec;
+  const std::string_view s = spec;
   size_t pos = 0;
   while (pos < s.size()) {
     size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string item = s.substr(pos, comma - pos);
+    if (comma == std::string_view::npos) comma = s.size();
+    const std::string_view item = s.substr(pos, comma - pos);
     const size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "rsse_client: bad range '%s' (want lo:hi)\n",
-                   item.c_str());
-      std::exit(1);
+    std::optional<uint64_t> lo;
+    std::optional<uint64_t> hi;
+    if (colon != std::string_view::npos) {
+      lo = ParseNumber<uint64_t>(item.substr(0, colon));
+      hi = ParseNumber<uint64_t>(item.substr(colon + 1));
     }
-    rsse::Range r;
-    r.lo = std::strtoull(item.substr(0, colon).c_str(), nullptr, 10);
-    r.hi = std::strtoull(item.substr(colon + 1).c_str(), nullptr, 10);
-    ranges.push_back(r);
+    if (!lo || !hi || *lo > *hi || *hi >= domain) {
+      std::fprintf(stderr,
+                   "rsse_client: bad range '%.*s' (want lo:hi with "
+                   "lo <= hi < domain)\n",
+                   static_cast<int>(item.size()), item.data());
+      std::exit(2);
+    }
+    ranges.push_back(rsse::Range{*lo, *hi});
     pos = comma + 1;
   }
   return ranges;
@@ -70,47 +84,41 @@ int main(int argc, char** argv) {
           "rsse_client: batched range queries against rsse_serverd\n"
           "  --host=<ipv4> --port=<port> --n=<tuples> --domain=<size>\n"
           "  --seed=<n> --technique=brc|urc --shards=<n>\n"
-          "  --ranges=lo:hi,lo:hi,... --verify=1\n");
+          "  --ranges=lo:hi,lo:hi,... --verify=0|1\n"
+          "Numeric values must parse in full and fit their field, and each "
+          "range needs lo <= hi < domain; anything else exits 2.\n");
       return 0;
     }
   }
   const std::string host = FlagValue(argc, argv, "host")
                                ? FlagValue(argc, argv, "host")
                                : "127.0.0.1";
-  const uint16_t port = static_cast<uint16_t>(
-      FlagValue(argc, argv, "port")
-          ? std::strtoul(FlagValue(argc, argv, "port"), nullptr, 10)
-          : 7370);
-  const uint64_t n = FlagValue(argc, argv, "n")
-                         ? std::strtoull(FlagValue(argc, argv, "n"), nullptr,
-                                         10)
-                         : 10000;
-  const uint64_t domain =
-      FlagValue(argc, argv, "domain")
-          ? std::strtoull(FlagValue(argc, argv, "domain"), nullptr, 10)
-          : 65536;
-  const uint64_t seed =
-      FlagValue(argc, argv, "seed")
-          ? std::strtoull(FlagValue(argc, argv, "seed"), nullptr, 10)
-          : 1;
+  uint16_t port = 7370;
+  uint64_t n = 10000;
+  uint64_t domain = 65536;
+  uint64_t seed = 1;
+  int shards = 0;
+  int verify = 0;
+  NumericFlag(argc, argv, "port", port);
+  NumericFlag(argc, argv, "n", n);
+  NumericFlag(argc, argv, "domain", domain);
+  NumericFlag(argc, argv, "seed", seed);
+  NumericFlag(argc, argv, "shards", shards);
+  NumericFlag(argc, argv, "verify", verify);
   const bool urc = FlagValue(argc, argv, "technique") != nullptr &&
                    std::strcmp(FlagValue(argc, argv, "technique"), "urc") == 0;
-  const int shards = FlagValue(argc, argv, "shards")
-                         ? std::atoi(FlagValue(argc, argv, "shards"))
-                         : 0;
-  const bool verify = FlagValue(argc, argv, "verify") != nullptr &&
-                      std::strcmp(FlagValue(argc, argv, "verify"), "0") != 0;
 
   std::vector<rsse::Range> ranges;
   if (const char* spec = FlagValue(argc, argv, "ranges")) {
-    ranges = ParseRanges(spec);
-  } else {
+    ranges = ParseRanges(spec, domain);
+  } else if (domain > 0) {
     // Default demo batch: 8 deliberately overlapping ranges so the
     // server-side dedupe has shared covering nodes to exploit.
-    const uint64_t w = domain / 8;
+    const uint64_t w = std::max<uint64_t>(domain / 8, 1);
     for (uint64_t i = 0; i < 8; ++i) {
-      const uint64_t lo = (i / 2) * w;  // pairs share an aligned range
-      ranges.push_back(rsse::Range{lo, lo + w - 1});
+      // Pairs share an aligned range.
+      const uint64_t lo = std::min((i / 2) * w, domain - 1);
+      ranges.push_back(rsse::Range{lo, std::min(lo + w - 1, domain - 1)});
     }
   }
 
@@ -134,14 +142,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto setup = client.Setup(scheme.SerializeIndex());
-  if (!setup.ok()) {
+  rsse::Result<rsse::ServerSetup> setup = scheme.ExportServerSetup();
+  rsse::Status installed =
+      setup.ok() ? rsse::server::InstallServerSetup(client, *setup)
+                 : setup.status();
+  if (!installed.ok()) {
     std::fprintf(stderr, "rsse_client: setup failed: %s\n",
-                 setup.status().ToString().c_str());
+                 installed.ToString().c_str());
     return 1;
   }
-  std::printf("setup: %" PRIu64 " entries across %u shards\n",
-              setup->entries, setup->shards);
+  std::printf("setup: %zu store(s), %zu entries across %d shards\n",
+              setup->stores.size(), scheme.index().EntryCount(),
+              scheme.index().shard_count());
 
   std::vector<rsse::server::EmmClient::BatchQuery> batch;
   for (size_t i = 0; i < ranges.size(); ++i) {

@@ -80,7 +80,7 @@ bool ResolveMmapOption(int requested) {
 EmmServer::EmmServer(const ServerOptions& options) : options_(options) {
   mmap_on_ = ResolveMmapOption(options.mmap_stores);
   // The primary slot exists from the start so the Update path can
-  // populate a store before any Setup arrives.
+  // populate a store before any SetupStore arrives.
   HostedStore& primary = stores_[rsse::kPrimaryStore];
   primary.kind = rsse::StoreKind::kEmm;
   primary.emm = shard::ShardedEmm::WithShards(options.shards);
@@ -91,48 +91,6 @@ EmmServer::~EmmServer() {
   if (listen_fd_ >= 0) close(listen_fd_);
   if (wake_fds_[0] >= 0) close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) close(wake_fds_[1]);
-}
-
-Status EmmServer::Host(const Bytes& index_blob) {
-  // Resolve the worker count here so the documented RSSE_SEARCH_THREADS
-  // fallback governs the load too (Deserialize's own 0-fallback is the
-  // builder-side RSSE_BUILD_THREADS).
-  const int threads =
-      ResolveThreadCount(options_.search_threads, "RSSE_SEARCH_THREADS");
-  Result<shard::ShardedEmm> store = shard::ShardedEmm::Deserialize(
-      index_blob, threads, options_.load_shards);
-  if (!store.ok()) return store.status();
-  WriterMutexLock lock(store_mutex_);
-  // Persist before apply: if the snapshot cannot be made durable the
-  // in-memory table keeps its previous (still-recoverable) contents.
-  if (persist_ != nullptr) {
-    const uint64_t epoch = store_epochs_[rsse::kPrimaryStore] + 1;
-    const uint8_t kind = static_cast<uint8_t>(rsse::StoreKind::kEmm);
-    if (mmap_on_) {
-      // The snapshot file IS the runtime layout: serialize the store as
-      // deserialized (after any load_shards re-sharding), so the next
-      // boot maps the exact in-memory structure back.
-      const Bytes image = store->SerializeV2(kind, epoch);
-      RSSE_RETURN_IF_ERROR(persist_->PersistSnapshot(
-          rsse::kPrimaryStore, epoch, kind,
-          ConstByteSpan(image.data(), image.size()), {},
-          SnapshotFormat::kV2));
-    } else {
-      RSSE_RETURN_IF_ERROR(persist_->PersistSnapshot(
-          rsse::kPrimaryStore, epoch, kind,
-          ConstByteSpan(index_blob.data(), index_blob.size()), {}));
-    }
-    store_epochs_[rsse::kPrimaryStore] = epoch;
-    store_formats_[rsse::kPrimaryStore] = mmap_on_ ? 2 : 1;
-    dirty_stores_.erase(rsse::kPrimaryStore);
-  }
-  HostedStore& primary = stores_[rsse::kPrimaryStore];
-  primary.kind = rsse::StoreKind::kEmm;
-  primary.emm = std::move(store).value();
-  primary.gate.reset();
-  primary.tree.reset();
-  hosted_ = true;
-  return Status::Ok();
 }
 
 size_t EmmServer::EntryCount() const {
@@ -244,8 +202,8 @@ Status EmmServer::InstallRecoveredStore(
           // The mapping drops here; the store owns heap copies.
         }
       } else {
-        Result<shard::ShardedEmm> store = shard::ShardedEmm::Deserialize(
-            rec.index_blob, threads, options_.load_shards);
+        Result<shard::ShardedEmm> store =
+            shard::ShardedEmm::Deserialize(rec.index_blob, threads);
         if (!store.ok()) return store.status();
         incoming.emm = std::move(store).value();
       }
@@ -257,7 +215,7 @@ Status EmmServer::InstallRecoveredStore(
             std::make_unique<rsse::BloomLabelGate>(std::move(gate).value());
       }
     } else {
-      // WAL-only slot: updates arrived before any Setup.
+      // WAL-only slot: updates arrived before any SetupStore.
       incoming.emm = shard::ShardedEmm::WithShards(options_.shards);
     }
     for (const Bytes& payload : rec.updates) {
@@ -827,9 +785,6 @@ EmmServer::JobResult EmmServer::ExecuteJob(Connection& conn, Job& job) {
     return JobResult::kDone;
   }
   switch (job.type) {
-    case FrameType::kSetupReq:
-      RunSetup(conn, job.payload);
-      return JobResult::kDone;
     case FrameType::kSetupStoreReq:
       RunSetupStore(conn, job.payload);
       return JobResult::kDone;
@@ -920,28 +875,6 @@ bool EmmServer::AllConnectionsQuiesced() {
 // Request handlers (worker side).
 // ---------------------------------------------------------------------------
 
-void EmmServer::RunSetup(Connection& conn, const Bytes& payload) {
-  Result<SetupRequest> req = SetupRequest::Decode(payload);
-  if (!req.ok()) {
-    EmitError(conn, req.status().message());
-    return;
-  }
-  Status hosted = Host(req->index_blob);
-  if (!hosted.ok()) {
-    EmitError(conn, hosted.message());
-    return;
-  }
-  SetupResponse resp;
-  {
-    ReaderMutexLock lock(store_mutex_);
-    const HostedStore& primary = stores_.at(rsse::kPrimaryStore);
-    resp.shards = static_cast<uint32_t>(primary.emm.shard_count());
-    resp.entries = primary.emm.EntryCount();
-  }
-  EmitFrame(conn, FrameType::kSetupResp, resp.Encode(),
-            "setup response exceeds frame limit");
-}
-
 void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
   Result<SetupStoreRequest> req = SetupStoreRequest::Decode(payload);
   if (!req.ok()) {
@@ -960,8 +893,8 @@ void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
   if (req->kind == static_cast<uint8_t>(rsse::StoreKind::kEmm)) {
     const int threads =
         ResolveThreadCount(options_.search_threads, "RSSE_SEARCH_THREADS");
-    Result<shard::ShardedEmm> store = shard::ShardedEmm::Deserialize(
-        req->index_blob, threads, options_.load_shards);
+    Result<shard::ShardedEmm> store =
+        shard::ShardedEmm::Deserialize(req->index_blob, threads);
     if (!store.ok()) {
       EmitError(conn, store.status().message());
       return;
@@ -1201,7 +1134,7 @@ EmmServer::JobResult EmmServer::StartSearchKeyword(Connection& conn,
   {
     ReaderMutexLock lock(store_mutex_);
     if (!hosted_) {
-      EmitError(conn, "no index hosted (send Setup first)");
+      EmitError(conn, "no index hosted (send SetupStore first)");
       return JobResult::kDone;
     }
     auto slot = stores_.find(req->store_id);
@@ -1270,8 +1203,8 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
   WallTimer timer;
   // One shared store-table lock per run segment: the lock drops with the
   // segment when the job parks, so a batch stalled behind a slow reader
-  // never blocks an Update or Setup. The flip side, re-resolved here, is
-  // that a long-streamed batch may observe a store swap at work-unit
+  // never blocks an Update or SetupStore. The flip side, re-resolved here,
+  // is that a long-streamed batch may observe a store swap at work-unit
   // granularity.
   ReaderMutexLock lock(store_mutex_);
   const HostedStore* store = nullptr;
@@ -1280,7 +1213,7 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
   // later segments re-resolve only while production remains.
   if (s.next_work < s.work_count || s.next_work == 0) {
     if (!hosted_) {
-      EmitError(conn, "no index hosted (send Setup first)");
+      EmitError(conn, "no index hosted (send SetupStore first)");
       return JobResult::kDone;
     }
     const uint32_t slot_id = s.producer == ResultStream::Producer::kGgm

@@ -32,15 +32,10 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via `port()`).
   uint16_t port = 0;
-  /// Shards for a store created through Update before any Setup.
-  /// 0 reads RSSE_SHARDS, defaulting to 1. (A Setup blob carries its own
-  /// shard count.)
+  /// Shards for a store created through Update before any SetupStore.
+  /// 0 reads RSSE_SHARDS, defaulting to 1. (A shipped store blob carries
+  /// its own shard count.)
   int shards = 0;
-  /// Shard count a hosted Setup blob is re-partitioned to while loading
-  /// (`ShardedEmm::Deserialize` re-shard on load). The default keeps the
-  /// blob's stored count; 0 re-shards to this host (RSSE_SHARDS, else the
-  /// hardware concurrency); a positive count is used as given.
-  int load_shards = shard::ShardedEmm::kKeepStoredShards;
   /// Worker threads for index load parallelism. 0 reads
   /// RSSE_SEARCH_THREADS, defaulting to 1. Also the fallback for
   /// `search_workers` below, so existing deployments keep their pool size.
@@ -95,8 +90,7 @@ struct ServerOptions {
   /// 0 = off; -1 (the default) resolves the RSSE_MMAP environment
   /// variable ("1"/"on"/"true" enables; absent = off). v1 snapshots still
   /// recover via the heap path and are rewritten as v2 on the first
-  /// mmap-enabled boot. Mapped stores keep their snapshot's shard layout
-  /// (`load_shards` applies only to heap loads).
+  /// mmap-enabled boot.
   int mmap_stores = -1;
   /// With mmap serving on: synchronously fault every mapped store into
   /// the page cache during recovery (`--prefault`), trading boot time for
@@ -145,8 +139,8 @@ struct ServerStats {
 /// parks the job (stream cursor and expansion progress saved) and the poll
 /// thread reschedules it once the socket drains. The store table is
 /// guarded by a reader/writer lock: searches take the lock shared per run
-/// segment, Update/Setup take it exclusive — a batch parked behind a slow
-/// reader holds no lock, so it never stalls writers.
+/// segment, Update/SetupStore take it exclusive — a batch parked behind a
+/// slow reader holds no lock, so it never stalls writers.
 class EmmServer {
  public:
   explicit EmmServer(const ServerOptions& options = {});
@@ -193,10 +187,6 @@ class EmmServer {
   Status RecoverStores();
 
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
-
-  /// In-process equivalent of a Setup frame (tools/tests): hosts the
-  /// serialized ShardedEmm blob at the primary store slot.
-  Status Host(const Bytes& index_blob);
 
   const ServerStats& stats() const { return stats_; }
   size_t EntryCount() const;
@@ -352,7 +342,6 @@ class EmmServer {
   /// Runs one producer/emitter segment of a streamed search (under one
   /// shared store-table lock); returns kParked on backpressure.
   JobResult ResumeStream(Connection& conn, Job& job);
-  void RunSetup(Connection& conn, const Bytes& payload);
   void RunSetupStore(Connection& conn, const Bytes& payload);
   void RunUpdate(Connection& conn, const Bytes& payload);
   void RunStats(Connection& conn);
@@ -408,7 +397,7 @@ class EmmServer {
   /// Resolved mmap-serving mode (options_.mmap_stores / RSSE_MMAP).
   bool mmap_on_ = false;
   /// Guards the store table and its persistence bookkeeping: searches
-  /// take it shared per run segment, Setup/Update/recovery exclusive.
+  /// take it shared per run segment, SetupStore/Update/recovery exclusive.
   mutable SharedMutex store_mutex_;
   /// Per-slot snapshot epoch (see persist.h).
   std::map<uint32_t, uint64_t> store_epochs_ RSSE_GUARDED_BY(store_mutex_);

@@ -11,14 +11,12 @@
 //   rsse_serverd --port=0              # ephemeral; the bound port is printed
 //   rsse_serverd --data-dir=/var/lib/rsse  # crash-safe store persistence
 //
-// Flags:
+// Flags (numeric values must parse in full and fit their field, else the
+// daemon exits 2 before binding):
 //   --bind=<ipv4>      listen address        (default 127.0.0.1)
 //   --port=<port>      TCP port, 0=ephemeral (default 7370)
 //   --shards=<n>       shards for Update-built stores (default RSSE_SHARDS)
 //   --threads=<n>      batch-search workers  (default RSSE_SEARCH_THREADS)
-//   --load-shards=<n>  re-shard hosted Setup blobs while loading:
-//                      auto = this host's core count (RSSE_SHARDS wins),
-//                      <n> = explicit count (default: keep the blob's)
 //   --max-level=<l>    largest GGM subtree per token (default 26)
 //   --max-keyword-tokens=<n>  largest keyword-token batch (default 65536)
 //   --search-workers=<n>  persistent search-worker pool size
@@ -45,7 +43,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "server/cli_flags.h"
@@ -54,6 +51,7 @@
 namespace {
 
 using rsse::server::FlagValue;
+using rsse::server::NumericFlag;
 
 rsse::server::EmmServer* g_server = nullptr;
 volatile std::sig_atomic_t g_signals_seen = 0;
@@ -80,7 +78,6 @@ int main(int argc, char** argv) {
       std::printf(
           "rsse_serverd: encrypted-range-search server (all schemes)\n"
           "  --bind=<ipv4>  --port=<port>  --shards=<n>  --threads=<n>\n"
-          "  --load-shards=<n|auto>  (re-shard hosted blobs while loading)\n"
           "  --max-level=<l>  (largest GGM subtree per token, default 26)\n"
           "  --max-keyword-tokens=<n>  (largest keyword batch, "
           "default 65536)\n"
@@ -95,63 +92,29 @@ int main(int argc, char** argv) {
           "  --mmap=on|off  (serve stores off mmap'd v2 snapshots; "
           "default: RSSE_MMAP env, else off)\n"
           "  --prefault=0|1  (with --mmap=on, fault every mapped page in "
-          "at boot)\n");
+          "at boot)\n"
+          "Numeric values must parse in full and fit their field; anything "
+          "else exits 2.\n");
       return 0;
     }
   }
   rsse::server::ServerOptions options;
   options.port = 7370;
   if (const char* v = FlagValue(argc, argv, "bind")) options.bind_address = v;
-  if (const char* v = FlagValue(argc, argv, "port")) {
-    options.port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
-  }
-  if (const char* v = FlagValue(argc, argv, "shards")) {
-    options.shards = std::atoi(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "load-shards")) {
-    // This flag silently changes the hosted data layout, so unparseable
-    // values must fail loudly rather than atoi-ing to "re-shard to host".
-    if (std::strcmp(v, "auto") == 0) {
-      options.load_shards = 0;
-    } else {
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || parsed <= 0) {
-        std::fprintf(stderr,
-                     "rsse_serverd: --load-shards must be 'auto' or a "
-                     "positive integer (got '%s')\n",
-                     v);
-        return 2;
-      }
-      options.load_shards = static_cast<int>(parsed);
-    }
-  }
-  if (const char* v = FlagValue(argc, argv, "threads")) {
-    options.search_threads = std::atoi(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "max-level")) {
-    options.max_token_level = std::atoi(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "max-keyword-tokens")) {
-    options.max_keyword_tokens =
-        static_cast<size_t>(std::strtoull(v, nullptr, 10));
-  }
-  if (const char* v = FlagValue(argc, argv, "search-workers")) {
-    options.search_workers = std::atoi(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "max-outbound-bytes")) {
-    options.max_outbound_bytes =
-        static_cast<size_t>(std::strtoull(v, nullptr, 10));
-  }
+  NumericFlag(argc, argv, "port", options.port);
+  NumericFlag(argc, argv, "shards", options.shards);
+  NumericFlag(argc, argv, "threads", options.search_threads);
+  NumericFlag(argc, argv, "max-level", options.max_token_level);
+  NumericFlag(argc, argv, "max-keyword-tokens", options.max_keyword_tokens);
+  NumericFlag(argc, argv, "search-workers", options.search_workers);
+  NumericFlag(argc, argv, "max-outbound-bytes", options.max_outbound_bytes);
   if (const char* v = FlagValue(argc, argv, "data-dir")) {
     options.data_dir = v;
   }
-  if (const char* v = FlagValue(argc, argv, "drain-timeout-ms")) {
-    options.drain_timeout_ms = std::atoi(v);
-  }
+  NumericFlag(argc, argv, "drain-timeout-ms", options.drain_timeout_ms);
   if (const char* v = FlagValue(argc, argv, "mmap")) {
-    // Like --load-shards, this flag changes the serving substrate; a
-    // typo must not silently fall back to the environment default.
+    // This flag changes the serving substrate; a typo must not silently
+    // fall back to the environment default.
     if (std::strcmp(v, "on") == 0) {
       options.mmap_stores = 1;
     } else if (std::strcmp(v, "off") == 0) {
@@ -163,9 +126,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (const char* v = FlagValue(argc, argv, "prefault")) {
-    options.prefault = std::atoi(v) != 0;
-  }
+  int prefault = 0;
+  NumericFlag(argc, argv, "prefault", prefault);
+  options.prefault = prefault != 0;
 
   rsse::server::EmmServer server(options);
   const auto recover_start = std::chrono::steady_clock::now();

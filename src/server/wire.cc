@@ -100,7 +100,7 @@ FrameParse DecodeFrame(const Bytes& buf, size_t& offset, Frame& frame,
     return FrameParse::kMalformed;
   }
   const uint8_t type = buf[offset + 5];
-  if (type < static_cast<uint8_t>(FrameType::kSetupReq) ||
+  if (type < static_cast<uint8_t>(FrameType::kSetupResp) ||
       type > static_cast<uint8_t>(FrameType::kErrorDraining)) {
     if (error != nullptr) *error = "unknown frame type";
     return FrameParse::kMalformed;
@@ -115,26 +115,6 @@ FrameParse DecodeFrame(const Bytes& buf, size_t& offset, Frame& frame,
 // --------------------------------------------------------------------------
 // Setup
 // --------------------------------------------------------------------------
-
-Bytes SetupRequest::Encode() const {
-  Bytes out;
-  out.reserve(8 + index_blob.size());
-  AppendUint64(out, index_blob.size());
-  Append(out, index_blob);
-  return out;
-}
-
-Result<SetupRequest> SetupRequest::Decode(const Bytes& payload) {
-  Reader r(payload);
-  const uint64_t blob_len = r.U64();
-  if (!r.ok() || blob_len != r.remaining()) {
-    return Malformed("setup blob length");
-  }
-  SetupRequest req;
-  req.index_blob = r.Blob(static_cast<size_t>(blob_len));
-  if (!r.AtEnd()) return Malformed("setup trailing bytes");
-  return req;
-}
 
 Bytes SetupResponse::Encode() const {
   Bytes out;

@@ -37,8 +37,9 @@ inline constexpr uint32_t kMaxFrameBytes = uint32_t{1} << 30;
 inline constexpr size_t kMaxKeywordTokenPartBytes = 4096;
 
 enum class FrameType : uint8_t {
-  /// Client -> server: host a serialized ShardedEmm index.
-  kSetupReq = 1,
+  // Type 1 is retired (the legacy single-store Setup frame; owners ship
+  // stores with kSetupStoreReq). The framer rejects it as unknown.
+  /// Server -> client: ack of a kSetupStoreReq.
   kSetupResp = 2,
   /// Client -> server: many range queries, each many GGM tokens, in one
   /// round trip.
@@ -118,14 +119,6 @@ struct WireToken {
 struct WireQuery {
   uint32_t query_id = 0;
   std::vector<WireToken> tokens;
-};
-
-struct SetupRequest {
-  /// Serialized `shard::ShardedEmm` blob (self-describing).
-  Bytes index_blob;
-
-  Bytes Encode() const;
-  static Result<SetupRequest> Decode(const Bytes& payload);
 };
 
 struct SetupResponse {

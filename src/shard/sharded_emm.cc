@@ -54,9 +54,9 @@ Result<ShardedEmm> ShardedEmm::Build(const sse::PlainMultimap& postings,
   ShardedEmm store(shard_count);
 
   if (shard_count == 1 && threads == 1) {
-    // Degenerate single-shard single-thread build: exact-size reserve and
-    // in-place encryption into the one table arena, exactly as the flat
-    // EncryptedMultimap hot path (same shared cost model).
+    // Degenerate single-shard single-thread build (the paper's flat
+    // dictionary): exact-size reserve from the shared cost model and
+    // in-place encryption into the one table arena.
     const sse::EmmSizing sizing =
         sse::ComputeEmmSizing(postings, options.padding.quantum);
     sse::FlatLabelMap& dict = store.shards_[0];
@@ -253,17 +253,8 @@ Bytes ShardedEmm::Serialize() const {
 
 namespace {
 
-/// One parsed entry of a stored section, referencing the blob (no copy):
-/// the staging unit of the re-shard-on-load path.
-struct EntryRef {
-  Label label;
-  size_t value_at;
-  uint32_t value_len;
-};
-
 /// Parses and validates one stored shard section — the single definition
-/// of what a well-formed section is, shared by the layout-preserving and
-/// the re-shard load paths so their acceptance can never diverge.
+/// of what a well-formed section is.
 /// `on_count(count, value_bytes_upper_bound)` fires once before the
 /// entries (table reservation); `emit(label, value_at, value_len)` fires
 /// per validated entry.
@@ -307,17 +298,13 @@ Status ParseShardSection(const Bytes& blob, size_t section_at,
 
 }  // namespace
 
-Result<ShardedEmm> ShardedEmm::Deserialize(const Bytes& blob, int threads,
-                                           int target_shards) {
+Result<ShardedEmm> ShardedEmm::Deserialize(const Bytes& blob, int threads) {
   if (blob.size() < 12 || ReadUint64(blob, 0) != kShardMagic) {
     return Status::InvalidArgument("not a ShardedEmm blob");
   }
   const uint32_t shard_count = ReadUint32(blob, 8);
   if (shard_count == 0 || shard_count > kMaxShards) {
     return Status::InvalidArgument("implausible shard count in blob header");
-  }
-  if (target_shards < kKeepStoredShards) {
-    return Status::InvalidArgument("invalid target shard count");
   }
   const size_t dir_end = 12 + size_t{8} * shard_count;
   if (blob.size() < dir_end) {
@@ -339,106 +326,36 @@ Result<ShardedEmm> ShardedEmm::Deserialize(const Bytes& blob, int threads,
     return Status::InvalidArgument("trailing bytes after shard sections");
   }
 
-  const size_t target =
-      target_shards == kKeepStoredShards
-          ? shard_count
-          : static_cast<size_t>(std::clamp(
-                ResolveThreadCountOrHardware(target_shards, "RSSE_SHARDS"), 1,
-                kMaxShards));
-  ShardedEmm store(target);
-  const int threads_resolved =
-      ResolveThreadCount(threads, "RSSE_BUILD_THREADS");
-
-  if (target == shard_count) {
-    // Layout-preserving load: each stored section IS its shard — parse it
-    // straight into the table, one shard per worker at a time.
-    const int workers = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(threads_resolved), shard_count));
-    std::vector<Status> worker_status(static_cast<size_t>(workers));
-    RunWorkers(workers, [&](int w) {
-      for (size_t s = static_cast<size_t>(w); s < shard_count;
-           s += static_cast<size_t>(workers)) {
-        sse::FlatLabelMap& dict = store.shards_[s];
-        Status status = ParseShardSection(
-            blob, section_at[s], section_len[s], s, shard_count,
-            [&dict](size_t count, size_t value_bytes) {
-              dict.Reserve(count, value_bytes);
-            },
-            [&dict, &blob](const Label& label, size_t value_at,
-                           uint32_t value_len) {
-              dict.Insert(label,
-                          ConstByteSpan(blob.data() + value_at, value_len));
-            });
-        if (!status.ok()) {
-          worker_status[static_cast<size_t>(w)] = status;
-          return;
-        }
-      }
-    });
-    for (const Status& s : worker_status) {
-      if (!s.ok()) return s;
-    }
-    return store;
-  }
-
-  // Re-shard on load: split/merge the stored layout to `target` shards in
-  // the same two-phase shape as Build. Phase A parses stored sections in
-  // parallel, validating each entry against its *stored* routing and
-  // staging a blob reference under its *target* shard; phase B merges the
-  // buckets, one target shard per worker at a time.
-  const int scan_workers = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(threads_resolved), shard_count));
-  std::vector<std::vector<std::vector<EntryRef>>> staging(
-      static_cast<size_t>(scan_workers),
-      std::vector<std::vector<EntryRef>>(target));
-  std::vector<Status> scan_status(static_cast<size_t>(scan_workers));
-  RunWorkers(scan_workers, [&](int w) {
-    std::vector<std::vector<EntryRef>>& buckets =
-        staging[static_cast<size_t>(w)];
+  ShardedEmm store(shard_count);
+  // Each stored section IS its shard: parse it straight into the table,
+  // one shard per worker at a time.
+  const int workers = static_cast<int>(std::min<size_t>(
+      static_cast<size_t>(ResolveThreadCount(threads, "RSSE_BUILD_THREADS")),
+      shard_count));
+  std::vector<Status> worker_status(static_cast<size_t>(workers));
+  RunWorkers(workers, [&](int w) {
     for (size_t s = static_cast<size_t>(w); s < shard_count;
-         s += static_cast<size_t>(scan_workers)) {
+         s += static_cast<size_t>(workers)) {
+      sse::FlatLabelMap& dict = store.shards_[s];
       Status status = ParseShardSection(
           blob, section_at[s], section_len[s], s, shard_count,
-          [](size_t, size_t) {},
-          [&buckets, target](const Label& label, size_t value_at,
-                             uint32_t value_len) {
-            buckets[ShardOf(label, target)].push_back(
-                EntryRef{label, value_at, value_len});
+          [&dict](size_t count, size_t value_bytes) {
+            dict.Reserve(count, value_bytes);
+          },
+          [&dict, &blob](const Label& label, size_t value_at,
+                         uint32_t value_len) {
+            dict.Insert(label,
+                        ConstByteSpan(blob.data() + value_at, value_len));
           });
       if (!status.ok()) {
-        scan_status[static_cast<size_t>(w)] = status;
+        worker_status[static_cast<size_t>(w)] = status;
         return;
       }
     }
   });
-  for (const Status& s : scan_status) {
+  for (const Status& s : worker_status) {
     if (!s.ok()) return s;
   }
-
-  const int merge_workers = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(threads_resolved), target));
-  RunWorkers(merge_workers, [&](int w) {
-    for (size_t t = static_cast<size_t>(w); t < target;
-         t += static_cast<size_t>(merge_workers)) {
-      size_t entries = 0;
-      size_t value_bytes = 0;
-      for (int sw = 0; sw < scan_workers; ++sw) {
-        for (const EntryRef& ref : staging[static_cast<size_t>(sw)][t]) {
-          ++entries;
-          value_bytes += ref.value_len;
-        }
-      }
-      sse::FlatLabelMap& dict = store.shards_[t];
-      dict.Reserve(entries, value_bytes);
-      for (int sw = 0; sw < scan_workers; ++sw) {
-        for (const EntryRef& ref : staging[static_cast<size_t>(sw)][t]) {
-          dict.Insert(ref.label,
-                      ConstByteSpan(blob.data() + ref.value_at,
-                                    ref.value_len));
-        }
-      }
-    }
-  });
   return store;
 }
 

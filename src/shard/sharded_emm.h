@@ -49,10 +49,9 @@ struct V2OpenOptions {
 /// hash uses bytes [0, 8) — the two are independent, so per-shard tables
 /// stay uniformly loaded even conditioned on the shard choice.
 ///
-/// Entries are byte-identical to `EncryptedMultimap` entries (the shared
-/// codec in sse/emm_codec.h), and `Serialize` is a per-shard framing of the
-/// same label/ciphertext pairs: the sharded store is a drop-in server-side
-/// layout, not a new scheme. Build avoids the classic single-merge funnel:
+/// Entries use the shared codec of sse/emm_codec.h, and `Serialize` is a
+/// per-shard framing of the same label/ciphertext pairs; one shard is the
+/// paper's flat dictionary. Build avoids the classic single-merge funnel:
 /// workers encrypt keywords into per-(worker, shard) staging buckets, then
 /// shards are merged *in parallel* — each shard reserves its exact final
 /// size and copies only the buckets routed to it.
@@ -72,7 +71,9 @@ class ShardedEmm {
   /// Counter-probe search for one keyword token, routed across shards.
   std::vector<Bytes> Search(const sse::KeywordKeys& token) const;
 
-  /// Instrumented/gated search (see EncryptedMultimap::Search overload).
+  /// Instrumented search: a non-null `gate` is consulted per entry before
+  /// decryption (entries it rejects are skipped as padding dummies); a
+  /// non-null `stats` receives probe/decrypt/skip counts.
   std::vector<Bytes> Search(const sse::KeywordKeys& token,
                             const sse::LabelGate* gate,
                             sse::SearchStats* stats) const;
@@ -89,24 +90,10 @@ class ShardedEmm {
   /// section per shard, so `Deserialize` can restore shards in parallel.
   Bytes Serialize() const;
 
-  /// `target_shards` value asking `Deserialize` to keep the blob's stored
-  /// shard count (the default: a round trip is layout-preserving).
-  static constexpr int kKeepStoredShards = -1;
-
-  /// Restores a store from `Serialize` output, loading shards with
-  /// `threads` workers (0 → RSSE_BUILD_THREADS → 1). INVALID_ARGUMENT on a
-  /// corrupt or foreign blob.
-  ///
-  /// `target_shards` re-partitions the store while loading: a blob written
-  /// by a 4-core builder can be split across a 32-core server's shards (or
-  /// merged down) in the same parallel pass, instead of serving forever
-  /// with the builder's layout. `kKeepStoredShards` preserves the stored
-  /// count; 0 re-shards to this host (RSSE_SHARDS, else the hardware
-  /// concurrency); a positive count is used as given (clamped to 4096).
-  /// Labels hash-route identically at any count, so re-sharding is
-  /// invisible to search.
-  static Result<ShardedEmm> Deserialize(const Bytes& blob, int threads = 0,
-                                        int target_shards = kKeepStoredShards);
+  /// Restores a store from `Serialize` output with its stored shard
+  /// layout, loading shards with `threads` workers (0 → RSSE_BUILD_THREADS
+  /// → 1). INVALID_ARGUMENT on a corrupt or foreign blob.
+  static Result<ShardedEmm> Deserialize(const Bytes& blob, int threads = 0);
 
   // -------------------------------------------------------------------------
   // v2 store image: the page-aligned, mmap-native layout where the

@@ -17,17 +17,15 @@ namespace rsse::sse {
 
 /// Entry-level codec of the Π_bas encrypted dictionary: label derivation
 /// (F(K1, counter)), payload framing (real/dummy marker byte, padding) and
-/// the counter-probe search loop. `EncryptedMultimap` and the sharded store
-/// `shard::ShardedEmm` are two storage layouts over this one entry format,
-/// so the format lives here exactly once — a blob built by either store is
-/// searchable by the other.
+/// the counter-probe search loop. The store, `shard::ShardedEmm`, keeps
+/// these entries in every layout it has (build, v1 blob, v2 image), and
+/// the owner-side update path emits them for the server to insert.
 ///
 /// Both directions work arena-at-a-time: build stages a whole keyword's
 /// padded posting list into scratch arenas, derives every label in one
 /// fused multi-lane PRF pass and encrypts every value in one batch AES
 /// call; search batch-decrypts runs of consecutive counter hits the same
-/// way. The wire format is byte-identical to the entry-at-a-time codec
-/// (pinned by the golden layout and cross-store conformance tests).
+/// way. The wire format is byte-identical to the entry-at-a-time codec.
 
 /// First plaintext byte of a stored payload: real posting vs padding dummy.
 inline constexpr uint8_t kEmmRealMarker = 0x00;
@@ -47,9 +45,9 @@ inline uint64_t PaddedPostingTotal(size_t payload_count, uint64_t pad_quantum) {
 /// Exact storage footprint of an index: entry count and total ciphertext
 /// bytes after padding. `ComputeKeywordEmmSizing` is the per-keyword cost
 /// model that the batch staging path reserves from; `ComputeEmmSizing`
-/// sums it over an input multimap. Both the flat and the sharded store
-/// reserve from this one model, so the two can never diverge — and the
-/// staging arenas can never diverge from the stores.
+/// sums it over an input multimap. The store's single-shard build and the
+/// batch staging path both reserve from this one model, so the staging
+/// arenas can never diverge from the store.
 struct EmmSizing {
   size_t entries = 0;
   size_t value_bytes = 0;

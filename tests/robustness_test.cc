@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,20 +13,28 @@
 #include "crypto/random.h"
 #include "data/generators.h"
 #include "rsse/factory.h"
-#include "rsse/logarithmic.h"
+#include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
 
 namespace rsse {
 namespace {
 
+/// The paper's flat dictionary: a 1-shard store.
+shard::ShardedEmm BuildFlat(const sse::PlainMultimap& postings,
+                            const sse::KeywordKeyDeriver& deriver) {
+  shard::ShardOptions options;
+  options.shards = 1;
+  Result<shard::ShardedEmm> built =
+      shard::ShardedEmm::Build(postings, deriver, options);
+  EXPECT_TRUE(built.ok());
+  return std::move(built).value();
+}
+
 TEST(RobustnessTest, DeserializeSurvivesRandomMutations) {
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
   sse::PlainMultimap postings;
   postings[ToBytes("w")] = {sse::EncodeIdPayload(1), sse::EncodeIdPayload(2)};
-  Result<sse::EncryptedMultimap> built =
-      sse::EncryptedMultimap::Build(postings, deriver);
-  ASSERT_TRUE(built.ok());
-  Bytes blob = built->Serialize();
+  Bytes blob = BuildFlat(postings, deriver).Serialize();
 
   Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {
@@ -40,8 +49,7 @@ TEST(RobustnessTest, DeserializeSurvivesRandomMutations) {
     }
     // Must either parse (mutation hit ciphertext bytes only) or fail with a
     // clean status — never crash.
-    Result<sse::EncryptedMultimap> r =
-        sse::EncryptedMultimap::Deserialize(mutated);
+    Result<shard::ShardedEmm> r = shard::ShardedEmm::Deserialize(mutated);
     if (!r.ok()) {
       EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     }
@@ -54,28 +62,19 @@ TEST(RobustnessTest, SearchWithCorruptedTokenReturnsNothingOrGarbage) {
   for (uint64_t i = 0; i < 50; ++i) {
     postings[ToBytes("w")].push_back(sse::EncodeIdPayload(i));
   }
-  Result<sse::EncryptedMultimap> built =
-      sse::EncryptedMultimap::Build(postings, deriver);
-  ASSERT_TRUE(built.ok());
+  const shard::ShardedEmm store = BuildFlat(postings, deriver);
   sse::KeywordKeys token = deriver.Derive(ToBytes("w"));
   // Valid label key but corrupted value key: decryptions fail cleanly and
   // the search terminates.
   sse::KeywordKeys bad = token;
   bad.value_key[0] ^= 0xff;
-  std::vector<Bytes> res = built->Search(bad);
+  std::vector<Bytes> res = store.Search(bad);
   EXPECT_LE(res.size(), 50u);
 }
 
 TEST(RobustnessTest, ConcurrentSearchesAreSafe) {
-  Rng rng(5);
-  Dataset data = GenerateUniform(500, 1 << 10, rng);
-  LogarithmicScheme scheme(CoverTechnique::kUrc);
-  ASSERT_TRUE(scheme.Build(data).ok());
-
-  // Query() touches the scheme's internal RNG for token permutation, so
-  // share only the server-side object: run the EMM search concurrently via
-  // const Query on separate schemes would race the rng_. Instead verify
-  // concurrent EncryptedMultimap::Search on one shared index.
+  // The server-side store is shared read-only by every search worker:
+  // concurrent Search calls on one index must all see every posting.
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
   sse::PlainMultimap postings;
   for (uint64_t w = 0; w < 16; ++w) {
@@ -85,8 +84,10 @@ TEST(RobustnessTest, ConcurrentSearchesAreSafe) {
       postings[keyword].push_back(sse::EncodeIdPayload(w * 1000 + i));
     }
   }
-  Result<sse::EncryptedMultimap> emm =
-      sse::EncryptedMultimap::Build(postings, deriver);
+  shard::ShardOptions options;
+  options.shards = 4;
+  Result<shard::ShardedEmm> emm =
+      shard::ShardedEmm::Build(postings, deriver, options);
   ASSERT_TRUE(emm.ok());
 
   std::atomic<int> failures{0};

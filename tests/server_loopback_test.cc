@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "data/generators.h"
 #include "rsse/constant.h"
 #include "server/client.h"
+#include "server/remote_backend.h"
 #include "server/server.h"
 #include "sse/emm_codec.h"
 #include "sse/keyword_keys.h"
@@ -56,6 +58,29 @@ class LoopbackServer {
 std::vector<uint64_t> Sorted(std::vector<uint64_t> ids) {
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+/// Ships `scheme`'s stores the way every owner does: ExportServerSetup,
+/// one SetupStore frame per store slot.
+Status ShipIndex(EmmClient& client, const ConstantScheme& scheme) {
+  Result<ServerSetup> setup = scheme.ExportServerSetup();
+  if (!setup.ok()) return setup.status();
+  return InstallServerSetup(client, *setup);
+}
+
+/// The SetupStore frame payload of `scheme`'s single store, for tests that
+/// drive the wire by hand.
+Bytes SetupStorePayload(const ConstantScheme& scheme) {
+  Result<ServerSetup> setup = scheme.ExportServerSetup();
+  EXPECT_TRUE(setup.ok());
+  EXPECT_EQ(setup->stores.size(), 1u);
+  const StoreSetup& store = setup->stores.at(0);
+  SetupStoreRequest req;
+  req.store_id = store.store;
+  req.kind = static_cast<uint8_t>(store.kind);
+  req.index_blob = store.index_blob;
+  req.gate_blob = store.gate_blob;
+  return req.Encode();
 }
 
 TEST(ServerLoopbackTest, BatchedSearchMatchesPerQueryConstantScheme) {
@@ -101,10 +126,8 @@ TEST(ServerLoopbackTest, BatchedSearchMatchesPerQueryConstantScheme) {
   ASSERT_TRUE(client.Connect("127.0.0.1", loopback.port()).ok());
 
   // Ship the index and issue the whole workload as ONE batched round trip.
-  auto setup = client.Setup(scheme.SerializeIndex());
-  ASSERT_TRUE(setup.ok()) << setup.status().ToString();
-  EXPECT_EQ(setup->shards, 4u);
-  EXPECT_EQ(setup->entries, scheme.index().EntryCount());
+  const Status shipped = ShipIndex(client, scheme);
+  ASSERT_TRUE(shipped.ok()) << shipped.ToString();
 
   std::vector<EmmClient::BatchQuery> batch;
   for (size_t i = 0; i < ranges.size(); ++i) {
@@ -232,7 +255,7 @@ TEST(ServerLoopbackTest, UpdateRacingSearchBatchIsWellDefined) {
   {
     EmmClient setup_client;
     ASSERT_TRUE(setup_client.Connect("127.0.0.1", loopback.port()).ok());
-    ASSERT_TRUE(setup_client.Setup(scheme.SerializeIndex()).ok());
+    ASSERT_TRUE(ShipIndex(setup_client, scheme).ok());
   }
   const size_t base_entries = scheme.index().EntryCount();
 
@@ -340,9 +363,7 @@ TEST(ServerLoopbackTest, ResultFramesAreCappedAndInterleaved) {
     }
   };
 
-  SetupRequest setup;
-  setup.index_blob = scheme.SerializeIndex();
-  send_frame(FrameType::kSetupReq, setup.Encode());
+  send_frame(FrameType::kSetupStoreReq, SetupStorePayload(scheme));
   Frame frame;
   ASSERT_TRUE(recv_frame(frame));
   ASSERT_EQ(frame.type, FrameType::kSetupResp);
@@ -397,44 +418,57 @@ TEST(ServerLoopbackTest, ResultFramesAreCappedAndInterleaved) {
 TEST(ServerLoopbackTest, MalformedFrameGetsErrorThenDisconnect) {
   LoopbackServer loopback;
 
-  // Raw socket: a frame with a bad wire version. The server must answer
-  // with an Error frame and close, never crash or hang.
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(loopback.port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  Bytes bad;
-  ASSERT_TRUE(EncodeFrame(FrameType::kStatsReq, {}, bad));
-  bad[4] = kWireVersion + 9;
-  ASSERT_EQ(send(fd, bad.data(), bad.size(), 0),
-            static_cast<ssize_t>(bad.size()));
+  // Two hostile frames on raw sockets: a bad wire version, and the
+  // retired type 1 (the legacy Setup frame, replaced by SetupStore). For
+  // each the server must answer with exactly one Error frame and close,
+  // never crash or hang, and keep serving everyone else.
+  Bytes bad_version;
+  ASSERT_TRUE(EncodeFrame(FrameType::kStatsReq, {}, bad_version));
+  bad_version[4] = kWireVersion + 9;
+  Bytes retired_type;
+  ASSERT_TRUE(EncodeFrame(FrameType::kStatsReq, {}, retired_type));
+  retired_type[5] = 1;
+  const std::pair<Bytes, const char*> cases[] = {
+      {bad_version, "version"},
+      {retired_type, "unknown frame type"},
+  };
+  for (const auto& [bad, expected_error] : cases) {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(loopback.port());
+    ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ASSERT_EQ(send(fd, bad.data(), bad.size(), 0),
+              static_cast<ssize_t>(bad.size()));
 
-  // Read until EOF; the stream must parse as exactly one Error frame.
-  Bytes in;
-  uint8_t chunk[4096];
-  for (;;) {
-    const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    in.insert(in.end(), chunk, chunk + n);
+    // Read until EOF; the stream must parse as exactly one Error frame.
+    Bytes in;
+    uint8_t chunk[4096];
+    for (;;) {
+      const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      in.insert(in.end(), chunk, chunk + n);
+    }
+    close(fd);
+    size_t offset = 0;
+    Frame frame;
+    ASSERT_EQ(DecodeFrame(in, offset, frame, nullptr), FrameParse::kFrame)
+        << expected_error;
+    EXPECT_EQ(frame.type, FrameType::kError);
+    auto error = ErrorResponse::Decode(frame.payload);
+    ASSERT_TRUE(error.ok());
+    EXPECT_NE(error->message.find(expected_error), std::string::npos)
+        << error->message;
+    EXPECT_EQ(offset, in.size()) << "exactly one frame before disconnect";
+
+    // The server must still serve well-formed peers afterwards.
+    EmmClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", loopback.port()).ok());
+    EXPECT_TRUE(client.Stats().ok());
   }
-  close(fd);
-  size_t offset = 0;
-  Frame frame;
-  ASSERT_EQ(DecodeFrame(in, offset, frame, nullptr), FrameParse::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kError);
-  auto error = ErrorResponse::Decode(frame.payload);
-  ASSERT_TRUE(error.ok());
-  EXPECT_NE(error->message.find("version"), std::string::npos);
-  EXPECT_EQ(offset, in.size()) << "exactly one frame before disconnect";
-
-  // The server must still serve well-formed peers afterwards.
-  EmmClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", loopback.port()).ok());
-  EXPECT_TRUE(client.Stats().ok());
 }
 
 TEST(ServerLoopbackTest, SlowReaderIsBackpressuredNotBuffered) {
@@ -462,7 +496,7 @@ TEST(ServerLoopbackTest, SlowReaderIsBackpressuredNotBuffered) {
   {
     EmmClient setup;
     ASSERT_TRUE(setup.Connect("127.0.0.1", loopback.port()).ok());
-    ASSERT_TRUE(setup.Setup(scheme.SerializeIndex()).ok());
+    ASSERT_TRUE(ShipIndex(setup, scheme).ok());
   }
 
   // The slow reader: tiny receive window, one full-domain query, and no
@@ -579,12 +613,11 @@ TEST(ServerLoopbackTest, PipelinedRequestsAnswerInOrder) {
   ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
 
-  // One buffer, four frames, one send: Setup, two searches, Stats.
+  // One buffer, four frames, one send: SetupStore, two searches, Stats.
   Bytes wire;
   {
-    SetupRequest setup;
-    setup.index_blob = scheme.SerializeIndex();
-    ASSERT_TRUE(EncodeFrame(FrameType::kSetupReq, setup.Encode(), wire));
+    ASSERT_TRUE(EncodeFrame(FrameType::kSetupStoreReq,
+                            SetupStorePayload(scheme), wire));
     for (uint32_t q = 0; q < 2; ++q) {
       SearchBatchRequest req;
       WireQuery query;

@@ -1,15 +1,20 @@
-// Process-level robustness of the real rsse_serverd binary (path supplied
-// via RSSE_SERVERD_BIN by the build): SIGKILL mid-workload followed by a
-// restart from the same --data-dir must recover every acked write; a
-// second daemon on an occupied port must report the bind failure on
-// stderr and exit 1; SIGTERM must drain and exit 0.
+// Process-level robustness of the real rsse_serverd and rsse_client
+// binaries (paths supplied via RSSE_SERVERD_BIN / RSSE_CLIENT_BIN by the
+// build): SIGKILL mid-workload followed by a restart from the same
+// --data-dir must recover every acked write; a second daemon on an
+// occupied port must report the bind failure on stderr and exit 1;
+// SIGTERM must drain and exit 0; a numeric flag that does not parse in
+// full must exit 2 before binding; and rsse_client's whole owner round
+// trip against a live daemon must match its local search.
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +30,7 @@ namespace rsse::server {
 namespace {
 
 const char* ServerdBin() { return std::getenv("RSSE_SERVERD_BIN"); }
+const char* ClientBin() { return std::getenv("RSSE_CLIENT_BIN"); }
 
 class TempDir {
  public:
@@ -56,11 +62,12 @@ class TempDir {
   std::string path_;
 };
 
-/// A forked rsse_serverd with its stdout on a pipe. The bound port is
-/// parsed from the "listening on" line, so --port=0 works.
+/// A forked rsse_serverd (or `bin`) with its stdout on a pipe. The bound
+/// port is parsed from the "listening on" line, so --port=0 works.
 class Daemon {
  public:
-  explicit Daemon(std::vector<std::string> extra_args) {
+  explicit Daemon(std::vector<std::string> extra_args,
+                  const char* bin = ServerdBin()) {
     int out[2];
     EXPECT_EQ(pipe(out), 0);
     pid_ = fork();
@@ -70,7 +77,7 @@ class Daemon {
       dup2(out[1], STDOUT_FILENO);
       close(out[0]);
       close(out[1]);
-      std::vector<std::string> args = {ServerdBin()};
+      std::vector<std::string> args = {bin};
       for (std::string& a : extra_args) args.push_back(std::move(a));
       std::vector<char*> argv;
       for (std::string& a : args) argv.push_back(a.data());
@@ -110,6 +117,31 @@ class Daemon {
   }
 
   const std::string& banner() const { return banner_; }
+
+  /// Reads stdout until the child closes it (normally: it exits). A child
+  /// still running after `timeout_ms` is killed and the test fails.
+  std::string ReadStdoutToEnd(int timeout_ms) {
+    std::string out;
+    char buf[4096];
+    pollfd pfd{stdout_fd_, POLLIN, 0};
+    using std::chrono::milliseconds;
+    using std::chrono::steady_clock;
+    const auto deadline = steady_clock::now() + milliseconds(timeout_ms);
+    for (;;) {
+      const auto left = std::chrono::duration_cast<milliseconds>(
+                            deadline - steady_clock::now())
+                            .count();
+      if (left <= 0 || poll(&pfd, 1, static_cast<int>(left)) <= 0) {
+        ADD_FAILURE() << "child still running after " << timeout_ms
+                      << " ms; stdout: " << out;
+        kill(pid_, SIGKILL);
+        return out;
+      }
+      const ssize_t n = read(stdout_fd_, buf, sizeof(buf));
+      if (n <= 0) return out;
+      out.append(buf, static_cast<size_t>(n));
+    }
+  }
 
   void Kill9() {
     kill(pid_, SIGKILL);
@@ -225,6 +257,39 @@ TEST(ServerdProcessTest, SigtermDrainsAndExitsZero) {
   auto stats = again.Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->entries, 1u);
+}
+
+TEST(ServerdProcessTest, MalformedNumericFlagsExitTwoBeforeListening) {
+  if (ServerdBin() == nullptr) {
+    GTEST_SKIP() << "RSSE_SERVERD_BIN not set (run under ctest)";
+  }
+  // Unchecked parsing turns "abc" into 0 (backpressure off) and 70001
+  // into port 4465 (wrapped to 16 bits); both are usage errors.
+  for (const char* flag : {"--max-outbound-bytes=abc", "--port=70001"}) {
+    Daemon daemon({"--port=0", flag});
+    const std::string out = daemon.ReadStdoutToEnd(/*timeout_ms=*/5000);
+    EXPECT_EQ(daemon.WaitExit(), 2) << flag;
+    EXPECT_EQ(out.find("listening on"), std::string::npos)
+        << flag << ": " << out;
+  }
+}
+
+TEST(ServerdProcessTest, ClientShipsSetupAndVerifiesAgainstLocalSearch) {
+  if (ServerdBin() == nullptr || ClientBin() == nullptr) {
+    GTEST_SKIP() << "RSSE_SERVERD_BIN/RSSE_CLIENT_BIN not set (run under "
+                    "ctest)";
+  }
+  Daemon daemon({"--port=0"});
+  const uint16_t port = daemon.WaitForPort();
+  ASSERT_NE(port, 0);
+  Daemon client({"--port=" + std::to_string(port), "--n=2000",
+                 "--domain=4096", "--verify=1"},
+                ClientBin());
+  const std::string out = client.ReadStdoutToEnd(/*timeout_ms=*/120000);
+  EXPECT_EQ(client.WaitExit(), 0) << out;
+  EXPECT_NE(out.find("verify: all queries match local search"),
+            std::string::npos)
+      << out;
 }
 
 }  // namespace

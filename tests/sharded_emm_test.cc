@@ -1,10 +1,10 @@
 #include "shard/sharded_emm.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <set>
+#include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,17 +21,6 @@ namespace {
 
 Bytes FixedKey(uint8_t fill) { return Bytes(kLabelBytes, fill); }
 
-// Hex strings rather than raw Bytes: GCC 12's -Werror=stringop-overread
-// misfires on sorting std::vector<std::vector<uint8_t>> in optimized
-// builds.
-std::vector<std::string> Sorted(const std::vector<Bytes>& v) {
-  std::vector<std::string> hex;
-  hex.reserve(v.size());
-  for (const Bytes& b : v) hex.push_back(ToHex(b));
-  std::sort(hex.begin(), hex.end());
-  return hex;
-}
-
 sse::PlainMultimap MakePostings(int keywords, int per_keyword) {
   sse::PlainMultimap postings;
   for (int w = 0; w < keywords; ++w) {
@@ -46,24 +35,58 @@ sse::PlainMultimap MakePostings(int keywords, int per_keyword) {
 }
 
 TEST(ShardedEmmTest, MatchesFlatMultimapResults) {
+  // Beside the regular lists: a posting order that is not sorted, an
+  // empty list, variable-length payloads and a 10k-entry list.
   sse::PlainMultimap postings = MakePostings(40, 7);
+  postings[ToBytes("order")] = {sse::EncodeIdPayload(7),
+                                sse::EncodeIdPayload(5),
+                                sse::EncodeIdPayload(9)};
+  postings[ToBytes("empty")] = {};
+  postings[ToBytes("varlen")] = {ToBytes("short"), Bytes(100, 0xaa), {}};
+  for (uint64_t i = 0; i < 10000; ++i) {
+    postings[ToBytes("big")].push_back(sse::EncodeIdPayload(i));
+  }
   sse::PrfKeyDeriver deriver(FixedKey(0x21));
 
-  auto flat = sse::EncryptedMultimap::Build(postings, deriver);
+  // The flat dictionary of the paper is the 1-shard, 1-thread build; it
+  // fixes the size metrics every other layout must reproduce.
+  ShardOptions flat_options;
+  flat_options.shards = 1;
+  flat_options.threads = 1;
+  auto flat = ShardedEmm::Build(postings, deriver, flat_options);
   ASSERT_TRUE(flat.ok());
-
-  ShardOptions options;
-  options.shards = 4;
-  options.threads = 4;
-  auto sharded = ShardedEmm::Build(postings, deriver, options);
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(sharded->shard_count(), 4);
-  EXPECT_EQ(sharded->EntryCount(), flat->EntryCount());
-  EXPECT_EQ(sharded->SizeBytes(), flat->SizeBytes());
-
+  size_t expected_entries = 0;
   for (const auto& [keyword, payloads] : postings) {
-    sse::KeywordKeys token = deriver.Derive(keyword);
-    EXPECT_EQ(sharded->Search(token), flat->Search(token));
+    expected_entries += payloads.size();
+  }
+  EXPECT_EQ(flat->EntryCount(), expected_entries);
+  EXPECT_GT(flat->SizeBytes(), expected_entries * kLabelBytes);
+
+  // {shards, threads}: the flat build, a parallel build merged into one
+  // shard, and a parallel build across four shards.
+  for (const auto& [shards, threads] :
+       std::vector<std::pair<int, int>>{{1, 1}, {1, 8}, {4, 4}}) {
+    ShardOptions options;
+    options.shards = shards;
+    options.threads = threads;
+    auto store = ShardedEmm::Build(postings, deriver, options);
+    ASSERT_TRUE(store.ok());
+    EXPECT_EQ(store->shard_count(), shards);
+    EXPECT_EQ(store->EntryCount(), flat->EntryCount());
+    EXPECT_EQ(store->SizeBytes(), flat->SizeBytes());
+
+    // The oracle is the plaintext itself: every list comes back exact and
+    // in posting order.
+    for (const auto& [keyword, payloads] : postings) {
+      EXPECT_EQ(store->Search(deriver.Derive(keyword)), payloads)
+          << ToHex(keyword) << " (" << shards << " shards, " << threads
+          << " threads)";
+    }
+    // An unknown keyword, and a token from another key (the forward
+    // privacy mechanism of Section 7), find nothing.
+    EXPECT_TRUE(store->Search(deriver.Derive(ToBytes("missing"))).empty());
+    sse::PrfKeyDeriver other(FixedKey(0x22));
+    EXPECT_TRUE(store->Search(other.Derive(ToBytes("order"))).empty());
   }
 }
 
@@ -87,26 +110,33 @@ TEST(ShardedEmmTest, ShardsArePopulatedAndRoutingIsStable) {
 
 TEST(ShardedEmmTest, SerializeRoundTripsAcrossThreadCounts) {
   sse::PlainMultimap postings = MakePostings(30, 5);
+  postings[ToBytes("empty")] = {};
   sse::PrfKeyDeriver deriver(FixedKey(0x55));
-  ShardOptions options;
-  options.shards = 4;
-  options.threads = 2;
-  options.padding.quantum = 4;
-  auto store = ShardedEmm::Build(postings, deriver, options);
-  ASSERT_TRUE(store.ok());
+  for (const int shards : {4, 1}) {
+    ShardOptions options;
+    options.shards = shards;
+    options.threads = 2;
+    options.padding.quantum = 4;
+    auto store = ShardedEmm::Build(postings, deriver, options);
+    ASSERT_TRUE(store.ok());
+    // Padding rounds every list up to the quantum (5 -> 8, empty -> 4),
+    // so the entry count hides the list lengths; Search drops the dummies.
+    EXPECT_EQ(store->EntryCount(), 30u * 8 + 4);
+    EXPECT_EQ(store->Search(deriver.Derive(ToBytes("empty"))).size(), 0u);
 
-  Bytes blob = store->Serialize();
-  for (int load_threads : {1, 4}) {
-    auto restored = ShardedEmm::Deserialize(blob, load_threads);
-    ASSERT_TRUE(restored.ok());
-    EXPECT_EQ(restored->shard_count(), store->shard_count());
-    EXPECT_EQ(restored->EntryCount(), store->EntryCount());
-    EXPECT_EQ(restored->SizeBytes(), store->SizeBytes());
-    for (const auto& [keyword, payloads] : postings) {
-      sse::KeywordKeys token = deriver.Derive(keyword);
-      EXPECT_EQ(restored->Search(token), store->Search(token));
+    Bytes blob = store->Serialize();
+    for (int load_threads : {1, 4}) {
+      auto restored = ShardedEmm::Deserialize(blob, load_threads);
+      ASSERT_TRUE(restored.ok());
+      EXPECT_EQ(restored->shard_count(), store->shard_count());
+      EXPECT_EQ(restored->EntryCount(), store->EntryCount());
+      EXPECT_EQ(restored->SizeBytes(), store->SizeBytes());
+      for (const auto& [keyword, payloads] : postings) {
+        sse::KeywordKeys token = deriver.Derive(keyword);
+        EXPECT_EQ(restored->Search(token), payloads);
+      }
+      EXPECT_EQ(restored->Serialize(), blob);
     }
-    EXPECT_EQ(restored->Serialize(), blob);
   }
 }
 
@@ -189,15 +219,6 @@ TEST(ShardedEmmTest, DeserializeTruncationMatrixRejectsEveryPrefix) {
     Bytes prefix(blob.begin(), blob.begin() + static_cast<long>(len));
     EXPECT_FALSE(ShardedEmm::Deserialize(prefix).ok()) << "prefix " << len;
   }
-  // ... and the same matrix under re-shard-on-load, whose parse path
-  // stages entries before re-routing them.
-  for (size_t len = 0; len < blob.size(); len += 7) {
-    Bytes prefix(blob.begin(), blob.begin() + static_cast<long>(len));
-    EXPECT_FALSE(
-        ShardedEmm::Deserialize(prefix, /*threads=*/1, /*target_shards=*/4)
-            .ok())
-        << "resharded prefix " << len;
-  }
 }
 
 TEST(ShardedEmmTest, InsertRoutesPreEncryptedEntries) {
@@ -231,47 +252,6 @@ TEST(ShardedEmmTest, InsertRoutesPreEncryptedEntries) {
   std::vector<Bytes> hits = store->Search(deriver.Derive(keyword));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(sse::DecodeIdPayload(hits[0]), 424242u);
-}
-
-
-TEST(ShardedEmmTest, ReshardOnLoadSplitsAndMerges) {
-  // Re-shard on load: a 4-shard blob split to 8 shards and an 8-shard blob
-  // merged to 2 must preserve every entry and every search result, with
-  // entries routed by the target count.
-  sse::PlainMultimap postings = MakePostings(40, 6);
-  sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  for (const auto& [built_shards, target] :
-       std::vector<std::pair<int, int>>{{4, 8}, {8, 2}}) {
-    ShardOptions options;
-    options.shards = built_shards;
-    auto store = ShardedEmm::Build(postings, deriver, options);
-    ASSERT_TRUE(store.ok());
-    Bytes blob = store->Serialize();
-    auto loaded = ShardedEmm::Deserialize(blob, /*threads=*/2, target);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->shard_count(), target);
-    EXPECT_EQ(loaded->EntryCount(), store->EntryCount());
-    EXPECT_EQ(loaded->SizeBytes(), store->SizeBytes());
-    size_t total = 0;
-    for (int s = 0; s < target; ++s) {
-      total += loaded->ShardEntryCount(static_cast<size_t>(s));
-    }
-    EXPECT_EQ(total, loaded->EntryCount());
-    for (uint64_t w = 0; w < 40; ++w) {
-      Bytes keyword;
-      AppendUint64(keyword, w);
-      const sse::KeywordKeys token = deriver.Derive(keyword);
-      EXPECT_EQ(Sorted(loaded->Search(token)), Sorted(store->Search(token)))
-          << "keyword " << w << " (" << built_shards << " -> " << target
-          << " shards)";
-    }
-    // A re-sharded store serializes as a native blob of the target count
-    // and round-trips layout-preserving from there.
-    auto again = ShardedEmm::Deserialize(loaded->Serialize());
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(again->shard_count(), target);
-    EXPECT_EQ(again->EntryCount(), store->EntryCount());
-  }
 }
 
 
@@ -311,18 +291,6 @@ TEST(ShardedEmmTest, MalformedStoredValueEndsSearchAfterValidPrefix) {
   EXPECT_EQ(sse::DecodeIdPayload(hits[1]), 8u);
 }
 
-TEST(ShardedEmmTest, DeserializeKeepsStoredShardsByDefault) {
-  sse::PlainMultimap postings = MakePostings(10, 3);
-  sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  ShardOptions options;
-  options.shards = 4;
-  auto store = ShardedEmm::Build(postings, deriver, options);
-  ASSERT_TRUE(store.ok());
-  auto loaded = ShardedEmm::Deserialize(store->Serialize());
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->shard_count(), 4);
-}
-
 TEST(ShardedEmmTest, ShardOfUsesRoutingBytesOnly) {
   Label a{};
   Label b{};
@@ -331,6 +299,78 @@ TEST(ShardedEmmTest, ShardOfUsesRoutingBytesOnly) {
   Label c = a;
   c[15] = 0x01;  // low routing byte (big-endian): moves the shard
   EXPECT_NE(ShardedEmm::ShardOf(a, 16), ShardedEmm::ShardOf(c, 16));
+}
+
+TEST(EmmSizingTest, SizingMatchesBytesActuallyWritten) {
+  // The batch staging path reserves from ComputeKeywordEmmSizing and the
+  // store reserves from ComputeEmmSizing; both must equal the bytes the
+  // encryption actually emits — for padded, empty and non-padded lists.
+  sse::PrfKeyDeriver deriver(crypto::GenerateKey());
+  struct Case {
+    std::vector<Bytes> payloads;
+    uint64_t pad_quantum;
+  };
+  const Case cases[] = {
+      {{sse::EncodeIdPayload(1), sse::EncodeIdPayload(2),
+        sse::EncodeIdPayload(3)},
+       0},
+      {{sse::EncodeIdPayload(1), sse::EncodeIdPayload(2),
+        sse::EncodeIdPayload(3)},
+       4},
+      {{}, 0},
+      {{}, 8},
+      {{ToBytes("short"), Bytes(100, 0xaa), {}}, 5},
+  };
+  for (size_t k = 0; k < std::size(cases); ++k) {
+    const Case& c = cases[k];
+    const sse::EmmSizing sizing =
+        sse::ComputeKeywordEmmSizing(c.payloads, c.pad_quantum);
+    sse::EmmBuildScratch scratch;
+    size_t entries = 0;
+    size_t bytes_written = 0;
+    std::vector<Bytes> storage;
+    Status s = sse::EncryptKeywordEntries(
+        ToBytes("kw"), c.payloads, deriver, c.pad_quantum, scratch,
+        [&](const Label&, size_t len) {
+          ++entries;
+          bytes_written += len;
+          storage.emplace_back(len);
+          return ByteSpan(storage.back().data(), len);
+        });
+    ASSERT_TRUE(s.ok()) << "case " << k;
+    EXPECT_EQ(entries, sizing.entries) << "case " << k;
+    EXPECT_EQ(bytes_written, sizing.value_bytes) << "case " << k;
+  }
+}
+
+TEST(EmmSizingTest, MultimapSizingMatchesBuiltIndex) {
+  // ComputeEmmSizing over a whole multimap equals the built flat store's
+  // entry count and arena bytes (SizeBytes = entries * label + values).
+  sse::PrfKeyDeriver deriver(crypto::GenerateKey());
+  sse::PlainMultimap postings = MakePostings(3, 2);
+  postings[ToBytes("empty")] = {};
+  for (const uint64_t quantum : {uint64_t{0}, uint64_t{4}}) {
+    const sse::EmmSizing sizing = sse::ComputeEmmSizing(postings, quantum);
+    ShardOptions options;
+    options.shards = 1;
+    options.padding.quantum = quantum;
+    auto built = ShardedEmm::Build(postings, deriver, options);
+    ASSERT_TRUE(built.ok());
+    EXPECT_EQ(built->EntryCount(), sizing.entries);
+    EXPECT_EQ(built->SizeBytes(),
+              sizing.entries * kLabelBytes + sizing.value_bytes);
+  }
+}
+
+TEST(IdPayloadTest, RoundTrip) {
+  EXPECT_EQ(*sse::DecodeIdPayload(sse::EncodeIdPayload(0)), 0u);
+  EXPECT_EQ(*sse::DecodeIdPayload(sse::EncodeIdPayload(~uint64_t{0})),
+            ~uint64_t{0});
+}
+
+TEST(IdPayloadTest, RejectsWrongSize) {
+  EXPECT_FALSE(sse::DecodeIdPayload(Bytes(7, 0)).has_value());
+  EXPECT_FALSE(sse::DecodeIdPayload(Bytes(9, 0)).has_value());
 }
 
 // --------------------------------------------------------------------------

@@ -66,9 +66,6 @@ size_t PumpAll(const Bytes& buf) {
     EXPECT_LE(offset, buf.size());
     ++frames;
     switch (frame.type) {
-      case FrameType::kSetupReq:
-        (void)SetupRequest::Decode(frame.payload);
-        break;
       case FrameType::kSetupResp:
         (void)SetupResponse::Decode(frame.payload);
         break;
@@ -230,7 +227,6 @@ TEST(WireFuzzTest, RawBytesThroughEveryTypedDecoder) {
   for (const size_t len : {0, 1, 3, 7, 16, 64, 1024}) {
     Bytes buf(len);
     for (auto& b : buf) b = next();
-    (void)SetupRequest::Decode(buf);
     (void)SetupResponse::Decode(buf);
     (void)SearchBatchRequest::Decode(buf);
     (void)SearchResult::Decode(buf);

@@ -41,7 +41,7 @@ TEST(WireFrameTest, RoundTrip) {
 TEST(WireFrameTest, TruncationAtEveryPrefixNeedsMoreNeverCrashes) {
   Bytes stream;
   const Bytes payload = ToBytes("some payload bytes");
-  ASSERT_TRUE(EncodeFrame(FrameType::kSetupReq,
+  ASSERT_TRUE(EncodeFrame(FrameType::kSetupStoreReq,
               ConstByteSpan(payload.data(), payload.size()), stream));
   for (size_t cut = 0; cut < stream.size(); ++cut) {
     Bytes prefix(stream.begin(), stream.begin() + static_cast<long>(cut));
@@ -90,13 +90,21 @@ TEST(WireFrameTest, RejectsVersionMismatch) {
 }
 
 TEST(WireFrameTest, RejectsUnknownType) {
-  Bytes stream;
-  ASSERT_TRUE(EncodeFrame(FrameType::kStatsReq, {}, stream));
-  stream[5] = 200;
-  size_t offset = 0;
-  Frame frame;
-  EXPECT_EQ(DecodeFrame(stream, offset, frame, nullptr),
-            FrameParse::kMalformed);
+  // 200 was never assigned; 1 is the retired legacy Setup frame, which
+  // owners replaced with SetupStore. Both are unknown to the framer.
+  for (const uint8_t type : {uint8_t{200}, uint8_t{1}}) {
+    Bytes stream;
+    ASSERT_TRUE(EncodeFrame(FrameType::kStatsReq, {}, stream));
+    stream[5] = type;
+    size_t offset = 0;
+    Frame frame;
+    std::string error;
+    EXPECT_EQ(DecodeFrame(stream, offset, frame, &error),
+              FrameParse::kMalformed)
+        << "type " << int(type);
+    EXPECT_NE(error.find("unknown frame type"), std::string::npos);
+    EXPECT_EQ(offset, 0u);
+  }
 }
 
 TEST(WireFrameTest, ErrorDrainingFrameRoundTrip) {
@@ -177,12 +185,6 @@ TEST(WireFrameTest, ErrorDrainingFuzzEveryTruncationAndByteFlip) {
 // ---------------------------------------------------------------------------
 
 TEST(WirePayloadTest, SetupRoundTrip) {
-  SetupRequest req;
-  req.index_blob = ToBytes("pretend this is a ShardedEmm blob");
-  auto decoded = SetupRequest::Decode(req.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->index_blob, req.index_blob);
-
   SetupResponse resp;
   resp.shards = 8;
   resp.entries = 123456789;
