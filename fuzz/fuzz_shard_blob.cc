@@ -1,6 +1,6 @@
 /// Fuzzes the v1 framed-blob deserializer: ShardedEmm::Deserialize over an
 /// arbitrary byte string — the format a SetupStore frame delivers off the
-/// wire and v1 snapshot recovery reads back from disk. The header, per-shard
+/// wire and LoadServableIndex reads for local tools. The header, per-shard
 /// section framing, and entry tables are all attacker-reachable; Decode
 /// failures must come back as INVALID_ARGUMENT, never as a crash or an
 /// allocation sized by a corrupt length field. A blob that does

@@ -1,15 +1,16 @@
 /// Fuzzes the v2 store-image loader: header + section-table validation,
 /// per-section CRC checking, and the arena/offset-table reconstruction in
-/// ShardedEmm::LoadV2. Both checksum modes run — `verify_checksums=false`
-/// is the mmap-serving configuration where CRC validation is deferred, so
-/// the structural validators alone must keep a corrupt image from causing
-/// out-of-bounds arena offsets. A successfully loaded store is then probed
-/// (EntryCount + a search with arbitrary keys) to push hostile offsets
-/// through the lookup path, mirroring what a recovered server would serve.
+/// ShardedEmm::LoadV2. Both checksum modes run. The server always verifies
+/// the CRCs before it serves a mapped image, so `verify_checksums=false`
+/// stands in for a hostile image whose CRCs were recomputed: the
+/// structural validators alone must keep it from causing out-of-bounds
+/// arena offsets. A successfully loaded store is then probed (EntryCount
+/// + a search with arbitrary keys) to push hostile offsets through the
+/// lookup path, mirroring what a recovered server would serve.
 ///
 /// OpenMappedImage is deliberately not called here: it requires a real
-/// file mapping, and its header/section validation is the same code path
-/// LoadV2 exercises — only the byte *source* differs.
+/// file mapping, and its header/section validation and checksum pass are
+/// the same code LoadV2 runs — only the byte *source* differs.
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -22,8 +23,6 @@ using rsse::shard::ShardedEmm;
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const ConstByteSpan image(data, size);
-  (void)ShardedEmm::IsV2Image(image);
-
   for (const bool verify : {true, false}) {
     auto loaded = ShardedEmm::LoadV2(image, /*threads=*/1, verify);
     if (!loaded.ok()) continue;

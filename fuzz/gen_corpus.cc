@@ -250,8 +250,9 @@ void GenShardBlob(const ShardedEmm& emm) {
   WriteSeed("shard_blob", "valid-v1", blob);
   WriteSeed("shard_blob", "valid-v1-empty", ShardedEmm::WithShards(1).Serialize());
   WriteMutations("shard_blob", "v1", blob);
-  // A v2 image fed to the v1 entry point (the LoadServableIndex sniffing
-  // mistake a caller could make): must be a clean INVALID_ARGUMENT.
+  // A v2 image fed to the shipped-blob entry point (a snapshot's image
+  // passed where LoadServableIndex expects a shipped blob): must be a
+  // clean INVALID_ARGUMENT.
   WriteSeed("shard_blob", "v2-image-miskind", emm.SerializeV2());
 }
 

@@ -69,26 +69,6 @@ void MappedFile::AdviseRandom(size_t offset, size_t length) const {
   ::madvise(static_cast<uint8_t*>(data_) + start, span, MADV_RANDOM);
 }
 
-void MappedFile::AdviseWillNeed(size_t offset, size_t length) const {
-  size_t start = 0;
-  size_t span = 0;
-  if (!PageRange(size_, offset, length, start, span)) return;
-  ::madvise(static_cast<uint8_t*>(data_) + start, span, MADV_WILLNEED);
-}
-
-size_t MappedFile::Prefault(size_t offset, size_t length) const {
-  size_t start = 0;
-  size_t span = 0;
-  if (!PageRange(size_, offset, length, start, span)) return 0;
-  const volatile uint8_t* base = static_cast<const uint8_t*>(data_);
-  size_t pages = 0;
-  for (size_t at = start; at < start + span; at += kPageBytes) {
-    (void)base[at];
-    ++pages;
-  }
-  return pages;
-}
-
 Result<Bytes> ReadFileRange(const std::string& path, uint64_t offset,
                             uint64_t length) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

@@ -39,15 +39,6 @@ class MappedFile {
   /// workload touches. Best-effort; errors are ignored.
   void AdviseRandom(size_t offset, size_t length) const;
 
-  /// Advises the kernel to start paging [offset, offset+length) in
-  /// (MADV_WILLNEED). Best-effort; errors are ignored.
-  void AdviseWillNeed(size_t offset, size_t length) const;
-
-  /// Touches one byte per page of [offset, offset+length), synchronously
-  /// faulting the range into the page cache (the --prefault warmup pass).
-  /// Returns the number of pages touched.
-  size_t Prefault(size_t offset, size_t length) const;
-
  private:
   MappedFile(std::string path, void* data, size_t size)
       : path_(std::move(path)), data_(data), size_(size) {}
@@ -58,8 +49,8 @@ class MappedFile {
 };
 
 /// Reads exactly [offset, offset+length) of `path` with pread. Used by
-/// recovery paths that need a byte range without mapping (heap loads of
-/// v2 snapshots, header-only validation).
+/// recovery paths that need a byte range without mapping (the snapshot
+/// header page and gate, a filter tree's index).
 Result<Bytes> ReadFileRange(const std::string& path, uint64_t offset,
                             uint64_t length);
 

@@ -77,7 +77,9 @@ Status ConstantScheme::Build(const Dataset& dataset) {
 }
 
 std::vector<GgmDprf::Token> ConstantScheme::Delegate(const Range& r) {
-  return dprf_->Delegate(r, technique_, rng_);
+  Range clipped = r;
+  if (!ClipRangeToDomain(domain_, clipped)) return {};
+  return dprf_->Delegate(clipped, technique_, rng_);
 }
 
 Result<TokenSet> ConstantScheme::Trapdoor(const Range& r) {

@@ -83,7 +83,8 @@ class ConstantScheme : public RangeScheme, public TrapdoorGenerator {
   const shard::ShardedEmm& index() const { return index_; }
 
   /// Owner-side delegation only (exposed for tests/benches that need the
-  /// raw tokens).
+  /// raw tokens). `r` is clipped to the domain, as `QueryVia` clips it; an
+  /// empty clip returns no tokens and draws nothing from the shuffle RNG.
   std::vector<GgmDprf::Token> Delegate(const Range& r);
 
  private:

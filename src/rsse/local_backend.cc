@@ -120,11 +120,6 @@ Result<ServerSetup> SingleEmmServerSetup(bool built,
 }
 
 Result<shard::ShardedEmm> LoadServableIndex(const Bytes& blob, int threads) {
-  if (shard::ShardedEmm::IsV2Image(
-          ConstByteSpan(blob.data(), blob.size()))) {
-    return shard::ShardedEmm::LoadV2(ConstByteSpan(blob.data(), blob.size()),
-                                     threads, /*verify_checksums=*/true);
-  }
   return shard::ShardedEmm::Deserialize(blob, threads);
 }
 

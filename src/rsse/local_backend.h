@@ -80,11 +80,10 @@ Result<ServerSetup> SingleEmmServerSetup(bool built,
                                          const shard::ShardedEmm& emm,
                                          const BloomLabelGate* gate = nullptr);
 
-/// Loads a servable encrypted-dictionary blob, accepting either
-/// serialization generation: the v1 framed blob or a v2 mmap-native store
-/// image (heap-loaded with the per-section checksum pass). Both keep their
-/// stored shard layout. The load path of local tools — so every tool that
-/// accepts an index accepts both generations identically.
+/// Loads a shipped encrypted-dictionary blob (`ShardedEmm::Serialize`
+/// output, as `ExportServerSetup` ships it) with its stored shard layout,
+/// using `threads` workers. The load path of local tools, so every tool
+/// that accepts an index accepts exactly what an owner ships.
 Result<shard::ShardedEmm> LoadServableIndex(const Bytes& blob,
                                             int threads = 0);
 

@@ -21,14 +21,11 @@ namespace rsse::server {
 
 namespace {
 
-/// "RSSESNP1", big-endian, as the snapshot file magic.
-constexpr uint64_t kSnapshotMagic = 0x52535345534e5031ull;
-/// Fixed snapshot bytes around the blobs: magic + kind + epoch +
-/// index_len + gate_len before them, CRC32C after.
-constexpr size_t kSnapshotHeaderBytes = 8 + 1 + 8 + 8 + 8;
-constexpr size_t kSnapshotTrailerBytes = 4;
+/// "RSSESNP1", big-endian: the retired v1 container (the blobs under one
+/// whole-file CRC32C). Recovery recognises it only to refuse it.
+constexpr uint64_t kSnapshotMagicV1 = 0x52535345534e5031ull;
 
-/// "RSSESNP2", big-endian: the mmap-native v2 container. One header page
+/// "RSSESNP2", big-endian: the snapshot container. One header page
 /// (big-endian integers, like the rest of this file's formats):
 ///
 ///   [0]  u64 magic   [8]  u8 kind    [9]  u64 epoch
@@ -37,14 +34,13 @@ constexpr size_t kSnapshotTrailerBytes = 4;
 ///   [49] u32 gate crc32c (0 when no gate)
 ///   [53] u32 header crc32c over [0, 53), rest of the page zero
 ///
-/// then the index image at its page-aligned offset, zero-padded to the
-/// next page, then the gate blob; file size == gate_offset + gate_len.
-/// The header page and gate are all recovery reads (O(1) in the index
-/// size); the index is validated by its own header + section checksums
-/// when mapped or loaded.
-constexpr uint64_t kSnapshotMagicV2 = 0x52535345534e5032ull;
+/// then the index at its page-aligned offset, zero-padded to the next
+/// page, then the gate blob; file size == gate_offset + gate_len. The
+/// header page and gate are all recovery reads (O(1) in the index size);
+/// the server verifies the index's own checksums when it maps it.
+constexpr uint64_t kSnapshotMagic = 0x52535345534e5032ull;
 constexpr size_t kSnapshotPageBytes = 4096;
-constexpr size_t kSnapshotV2FieldBytes = 8 + 1 + 8 + 8 + 8 + 8 + 8 + 4;
+constexpr size_t kSnapshotFieldBytes = 8 + 1 + 8 + 8 + 8 + 8 + 8 + 4;
 
 size_t AlignSnapshotPage(size_t n) {
   return (n + kSnapshotPageBytes - 1) & ~(kSnapshotPageBytes - 1);
@@ -182,8 +178,12 @@ Result<int> StorePersistence::WalFd(uint32_t store_id) {
   auto it = wal_fds_.find(store_id);
   if (it != wal_fds_.end() && it->second >= 0) return it->second;
   const std::string path = WalPath(store_id);
-  const int fd = OpenRetry(path.c_str(),
-                           O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  int fd = OpenRetry(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0 && errno == ENOENT) {
+    fd = OpenRetry(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                   0644);
+    if (fd >= 0) wal_entry_unsynced_ = true;
+  }
   if (fd < 0) return Errno("open " + path);
   wal_fds_[store_id] = fd;
   return fd;
@@ -234,38 +234,24 @@ size_t StorePersistence::DecodeWalRecords(const Bytes& buf,
 Status StorePersistence::PersistSnapshot(uint32_t store_id, uint64_t epoch,
                                          uint8_t kind,
                                          ConstByteSpan index_blob,
-                                         ConstByteSpan gate_blob,
-                                         SnapshotFormat format) {
+                                         ConstByteSpan gate_blob) {
+  const size_t gate_offset =
+      kSnapshotPageBytes + AlignSnapshotPage(index_blob.size());
   Bytes file;
-  if (format == SnapshotFormat::kV2) {
-    const size_t gate_offset =
-        kSnapshotPageBytes + AlignSnapshotPage(index_blob.size());
-    file.reserve(gate_offset + gate_blob.size());
-    AppendUint64(file, kSnapshotMagicV2);
-    AppendByte(file, kind);
-    AppendUint64(file, epoch);
-    AppendUint64(file, kSnapshotPageBytes);  // index_offset
-    AppendUint64(file, index_blob.size());
-    AppendUint64(file, gate_offset);
-    AppendUint64(file, gate_blob.size());
-    AppendUint32(file, gate_blob.empty() ? 0 : Crc32c(gate_blob));
-    AppendUint32(file, Crc32c(file.data(), file.size()));
-    file.resize(kSnapshotPageBytes, 0);
-    file.insert(file.end(), index_blob.begin(), index_blob.end());
-    file.resize(gate_offset, 0);
-    file.insert(file.end(), gate_blob.begin(), gate_blob.end());
-  } else {
-    file.reserve(kSnapshotHeaderBytes + index_blob.size() + gate_blob.size() +
-                 kSnapshotTrailerBytes);
-    AppendUint64(file, kSnapshotMagic);
-    AppendByte(file, kind);
-    AppendUint64(file, epoch);
-    AppendUint64(file, index_blob.size());
-    AppendUint64(file, gate_blob.size());
-    file.insert(file.end(), index_blob.begin(), index_blob.end());
-    file.insert(file.end(), gate_blob.begin(), gate_blob.end());
-    AppendUint32(file, Crc32c(file.data(), file.size()));
-  }
+  file.reserve(gate_offset + gate_blob.size());
+  AppendUint64(file, kSnapshotMagic);
+  AppendByte(file, kind);
+  AppendUint64(file, epoch);
+  AppendUint64(file, kSnapshotPageBytes);  // index_offset
+  AppendUint64(file, index_blob.size());
+  AppendUint64(file, gate_offset);
+  AppendUint64(file, gate_blob.size());
+  AppendUint32(file, gate_blob.empty() ? 0 : Crc32c(gate_blob));
+  AppendUint32(file, Crc32c(file.data(), file.size()));
+  file.resize(kSnapshotPageBytes, 0);
+  file.insert(file.end(), index_blob.begin(), index_blob.end());
+  file.resize(gate_offset, 0);
+  file.insert(file.end(), gate_blob.begin(), gate_blob.end());
 
   const std::string path = SnapshotPath(store_id);
   const std::string tmp = path + ".tmp";
@@ -287,6 +273,13 @@ Status StorePersistence::PersistSnapshot(uint32_t store_id, uint64_t epoch,
     unlink(tmp.c_str());
     return written;
   }
+  // Everything from here on touches the poison set and the fd cache; the
+  // slow IO above ran unlocked.
+  MutexLock lock(mu_);
+  // Create the slot's WAL before the rename, so the directory fsync after
+  // it makes the WAL's entry durable with the snapshot's. A failure here
+  // only skips the truncate below; AppendUpdate retries the create.
+  Result<int> wal_fd = WalFd(store_id);
   if (failpoint::Hit("persist_snapshot_rename").kind ==
       failpoint::ActionKind::kError) {
     unlink(tmp.c_str());
@@ -297,9 +290,6 @@ Status StorePersistence::PersistSnapshot(uint32_t store_id, uint64_t epoch,
     unlink(tmp.c_str());
     return s;
   }
-  // Everything from the commit point on touches the poison set and the
-  // fd cache; the slow pre-commit IO above ran unlocked.
-  MutexLock lock(mu_);
   // The rename is the commit point: a recovery from here on loads the new
   // snapshot, so no failure below may be reported as a nack — the caller
   // would keep the old store and epoch in memory while a restart serves
@@ -328,6 +318,7 @@ Status StorePersistence::PersistSnapshot(uint32_t store_id, uint64_t epoch,
     poisoned_wals_.insert(store_id);
     return Status::Ok();
   }
+  wal_entry_unsynced_ = false;
 
   // The previous generation's WAL records are superseded; truncating here
   // is an optimization for an unpoisoned slot — their epoch no longer
@@ -335,7 +326,6 @@ Status StorePersistence::PersistSnapshot(uint32_t store_id, uint64_t epoch,
   // stale records for recovery to skip. For a poisoned slot the truncate
   // is what removes the possible torn tail and re-enables appends.
   bool wal_clean = false;
-  Result<int> wal_fd = WalFd(store_id);
   if (wal_fd.ok()) {
     int rc;
     do {
@@ -364,6 +354,16 @@ Status StorePersistence::AppendUpdate(uint32_t store_id, uint64_t epoch,
   }
   Result<int> fd = WalFd(store_id);
   if (!fd.ok()) return fd.status();
+  if (wal_entry_unsynced_) {
+    // Without this a power cut could drop the new file's entry, and with
+    // it every batch acked into the log.
+    if (failpoint::Hit("persist_wal_dir_fsync").kind ==
+        failpoint::ActionKind::kError) {
+      return Status::Internal("injected fsync failure on data dir");
+    }
+    RSSE_RETURN_IF_ERROR(FsyncRetry(dir_fd_, "fsync " + dir_));
+    wal_entry_unsynced_ = false;
+  }
   struct stat st {};
   if (fstat(*fd, &st) != 0) return Errno("fstat " + WalPath(store_id));
   Bytes record;
@@ -459,88 +459,56 @@ Result<StorePersistence::RecoveryReport> StorePersistence::Recover() {
     const std::string snap_path = SnapshotPath(id);
     bool drop_wal = false;
     if (access(snap_path.c_str(), F_OK) == 0) {
-      bool valid = false;
-      // The first 8 bytes pick the container generation. v2 recovery is
-      // O(1) in the index size: only the header page and the gate blob
-      // are read; the index stays on disk for the server to map.
+      // Recovery is O(1) in the index size: only the header page and the
+      // gate blob are read; the index stays on disk for the server to map.
       struct stat st {};
       const uint64_t file_size =
           stat(snap_path.c_str(), &st) == 0
               ? static_cast<uint64_t>(st.st_size)
               : 0;
-      uint64_t magic = 0;
       Bytes head;
-      if (file_size >= kSnapshotPageBytes) {
-        Result<Bytes> h = ReadFileRange(snap_path, 0, kSnapshotPageBytes);
+      if (file_size >= 8) {
+        Result<Bytes> h = ReadFileRange(
+            snap_path, 0, std::min<uint64_t>(file_size, kSnapshotPageBytes));
         if (!h.ok()) return h.status();
         head = std::move(*h);
-        magic = ReadUint64(head, 0);
-      } else if (file_size >= 8) {
-        Result<Bytes> h = ReadFileRange(snap_path, 0, 8);
-        if (!h.ok()) return h.status();
-        magic = ReadUint64(*h, 0);
       }
-      if (magic == kSnapshotMagicV2 && head.size() == kSnapshotPageBytes) {
-        const uint32_t stored_crc = ReadUint32(head, kSnapshotV2FieldBytes);
-        valid = Crc32c(head.data(), kSnapshotV2FieldBytes) == stored_crc;
-        if (valid) {
-          const uint64_t index_offset = ReadUint64(head, 17);
-          const uint64_t index_len = ReadUint64(head, 25);
-          const uint64_t gate_offset = ReadUint64(head, 33);
-          const uint64_t gate_len = ReadUint64(head, 41);
-          valid = index_offset == kSnapshotPageBytes &&
-                  index_len <= file_size - kSnapshotPageBytes &&
-                  gate_offset ==
-                      kSnapshotPageBytes + AlignSnapshotPage(index_len) &&
-                  gate_offset <= file_size &&
-                  gate_len == file_size - gate_offset;
-          if (valid && gate_len > 0) {
-            Result<Bytes> gate =
-                ReadFileRange(snap_path, gate_offset, gate_len);
-            if (!gate.ok()) return gate.status();
-            valid = Crc32c(gate->data(), gate->size()) ==
-                    ReadUint32(head, 49);
-            if (valid) store.gate_blob = std::move(*gate);
-          }
-          if (valid) {
-            store.has_snapshot = true;
-            store.kind = head[8];
-            store.epoch = ReadUint64(head, 9);
-            store.format = static_cast<uint8_t>(SnapshotFormat::kV2);
-            store.snapshot_path = snap_path;
-            store.index_offset = index_offset;
-            store.index_len = index_len;
-          }
-        }
-      } else if (magic == kSnapshotMagic) {
-        Result<Bytes> file = ReadWholeFile(snap_path);
-        if (!file.ok()) return file.status();
-        const Bytes& buf = *file;
-        valid = buf.size() >= kSnapshotHeaderBytes + kSnapshotTrailerBytes;
-        if (valid) {
-          const uint32_t stored_crc = ReadUint32(buf, buf.size() - 4);
-          valid = Crc32c(buf.data(), buf.size() - 4) == stored_crc;
+      if (head.size() >= 8 && ReadUint64(head, 0) == kSnapshotMagicV1) {
+        return Status::FailedPrecondition(
+            snap_path +
+            " is a v1 snapshot, which this server no longer reads; boot "
+            "the data dir once with a release that still does and "
+            "--mmap=on (converts encrypted-dictionary slots), or re-ship "
+            "the slot with SetupStore");
+      }
+      bool valid = head.size() == kSnapshotPageBytes &&
+                   ReadUint64(head, 0) == kSnapshotMagic &&
+                   Crc32c(head.data(), kSnapshotFieldBytes) ==
+                       ReadUint32(head, kSnapshotFieldBytes);
+      if (valid) {
+        const uint64_t index_offset = ReadUint64(head, 17);
+        const uint64_t index_len = ReadUint64(head, 25);
+        const uint64_t gate_offset = ReadUint64(head, 33);
+        const uint64_t gate_len = ReadUint64(head, 41);
+        valid = index_offset == kSnapshotPageBytes &&
+                index_len <= file_size - kSnapshotPageBytes &&
+                gate_offset ==
+                    kSnapshotPageBytes + AlignSnapshotPage(index_len) &&
+                gate_offset <= file_size &&
+                gate_len == file_size - gate_offset;
+        if (valid && gate_len > 0) {
+          Result<Bytes> gate = ReadFileRange(snap_path, gate_offset, gate_len);
+          if (!gate.ok()) return gate.status();
+          valid = Crc32c(gate->data(), gate->size()) == ReadUint32(head, 49);
+          if (valid) store.gate_blob = std::move(*gate);
         }
         if (valid) {
-          const uint64_t index_len = ReadUint64(buf, 17);
-          const uint64_t gate_len = ReadUint64(buf, 25);
-          const uint64_t blob_bytes =
-              buf.size() - kSnapshotHeaderBytes - kSnapshotTrailerBytes;
-          valid = index_len <= blob_bytes && gate_len <= blob_bytes &&
-                  index_len + gate_len == blob_bytes;
-          if (valid) {
-            store.has_snapshot = true;
-            store.kind = buf[8];
-            store.epoch = ReadUint64(buf, 9);
-            store.format = static_cast<uint8_t>(SnapshotFormat::kV1);
-            const auto index_begin =
-                buf.begin() + static_cast<long>(kSnapshotHeaderBytes);
-            store.index_blob.assign(
-                index_begin, index_begin + static_cast<long>(index_len));
-            store.gate_blob.assign(
-                index_begin + static_cast<long>(index_len),
-                index_begin + static_cast<long>(index_len + gate_len));
-          }
+          store.has_snapshot = true;
+          store.kind = head[8];
+          store.epoch = ReadUint64(head, 9);
+          store.snapshot_path = snap_path;
+          store.index_offset = index_offset;
+          store.index_len = index_len;
         }
       }
       if (!valid) {

@@ -14,20 +14,20 @@
 
 namespace rsse::server {
 
-/// On-disk snapshot generation. v1 frames the slot's blobs with one
-/// whole-file CRC32C — compact, but recovery must read and checksum the
-/// entire file. v2 is the mmap-native container: one 4 KiB header page
-/// (checksummed on its own) followed by the page-aligned ShardedEmm v2
-/// store image and the gate blob, so recovery validates the header and
-/// gate in O(1) reads and *maps* the index instead of loading it — the
-/// index carries its own per-section CRC32Cs.
-enum class SnapshotFormat : uint8_t { kV1 = 1, kV2 = 2 };
-
 /// Crash-safe on-disk state for the server's store table (`--data-dir`).
 /// Layout, one pair of files per hosted slot:
 ///
-///   store-<id>.snap   checksummed snapshot of the slot's SetupStore blobs
+///   store-<id>.snap   the slot's index and gate in the mmap-native
+///                     snapshot container (see persist.cc)
 ///   store-<id>.wal    length-prefixed log of raw Update payloads
+///
+/// The container is one 4 KiB header page (checksummed on its own), the
+/// page-aligned index, then the gate blob with its own CRC32C. Recovery
+/// reads the header page and the gate only; the index stays on disk for
+/// the server to map, and the index carries its own checksums (an EMM
+/// slot's v2 store image has one per section, a filter-tree blob a
+/// trailing CRC32C that the server appends), which the server verifies
+/// before it serves.
 ///
 /// Snapshots are written tmp-file + fsync + atomic-rename + directory
 /// fsync, so a crash mid-write leaves the previous snapshot intact. Every
@@ -72,13 +72,8 @@ class StorePersistence {
     uint8_t kind = 0;
     /// Snapshot epoch (0 when the slot is WAL-only).
     uint64_t epoch = 0;
-    /// Generation of the on-disk snapshot (raw SnapshotFormat; 1 when the
-    /// slot is WAL-only).
-    uint8_t format = 1;
-    /// v1: the whole serialized index. v2: empty — the index stays on
-    /// disk; map (or read) [index_offset, index_offset + index_len) of
-    /// `snapshot_path` instead.
-    Bytes index_blob;
+    /// The index stays on disk: map [index_offset, index_offset +
+    /// index_len) of `snapshot_path`.
     std::string snapshot_path;
     uint64_t index_offset = 0;
     uint64_t index_len = 0;
@@ -103,6 +98,8 @@ class StorePersistence {
   /// Scans the directory and rebuilds every slot's durable state. Also
   /// truncates torn WAL tails and removes stray .tmp files, so the
   /// directory is clean once recovery returns. Call once, before serving.
+  /// A snapshot in the retired v1 container fails the whole recovery with
+  /// an error naming the file, leaving it and its WAL untouched.
   Result<RecoveryReport> Recover();
 
   /// Durably replaces slot `store_id`'s snapshot (tmp + fsync + rename +
@@ -116,19 +113,18 @@ class StorePersistence {
   /// epoch while a restart serves the new one. A post-rename directory
   /// fsync failure (new-entry durability ambiguous) instead poisons the
   /// slot's WAL, so no acked update can be tagged with an epoch a crash
-  /// might roll back; the next clean snapshot re-enables appends.
-  ///
-  /// `format` picks the container generation: kV1 wraps the blobs with a
-  /// whole-file checksum; kV2 expects `index_blob` to be a ShardedEmm v2
-  /// store image and writes the mmap-native container around it.
+  /// might roll back; the next clean snapshot re-enables appends. The
+  /// slot's WAL is created before the rename, so the same directory fsync
+  /// makes its entry durable too.
   Status PersistSnapshot(uint32_t store_id, uint64_t epoch, uint8_t kind,
-                         ConstByteSpan index_blob, ConstByteSpan gate_blob,
-                         SnapshotFormat format = SnapshotFormat::kV1);
+                         ConstByteSpan index_blob, ConstByteSpan gate_blob);
 
   /// Durably appends one Update payload to slot `store_id`'s WAL (fsync'd
-  /// before returning, so the server may ack the batch). On failure the
-  /// partial record is rolled back (see the class comment); a poisoned
-  /// slot refuses the append outright.
+  /// before returning, so the server may ack the batch). A WAL whose
+  /// directory entry is not yet durable (created since the last directory
+  /// fsync) gets one first; if it fails, nothing is appended. On failure
+  /// the partial record is rolled back (see the class comment); a
+  /// poisoned slot refuses the append outright.
   Status AppendUpdate(uint32_t store_id, uint64_t epoch,
                       ConstByteSpan payload);
 
@@ -166,7 +162,8 @@ class StorePersistence {
 
   std::string SnapshotPath(uint32_t store_id) const;
   std::string WalPath(uint32_t store_id) const;
-  /// Append fd for a slot's WAL, opened (and cached) on first use.
+  /// Append fd for a slot's WAL, opened (and cached) on first use. Creating
+  /// the file sets `wal_entry_unsynced_`.
   Result<int> WalFd(uint32_t store_id) RSSE_REQUIRES(mu_);
   /// QuarantineSlot's body, for callers already holding `mu_`.
   void QuarantineSlotLocked(uint32_t store_id) RSSE_REQUIRES(mu_);
@@ -182,6 +179,10 @@ class StorePersistence {
   /// back durably (or whose snapshot's directory entry never fsync'd):
   /// appends are refused until a snapshot truncates the log cleanly.
   std::set<uint32_t> poisoned_wals_ RSSE_GUARDED_BY(mu_);
+  /// A WAL was created since the last successful directory fsync: a crash
+  /// could drop its entry, and every record in it, so no append is acked
+  /// before the next directory fsync.
+  bool wal_entry_unsynced_ RSSE_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace rsse::server

@@ -13,12 +13,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <thread>
 #include <utility>
 
+#include "common/crc32c.h"
 #include "common/env.h"
 #include "common/mapped_file.h"
 #include "common/stats.h"
@@ -65,20 +65,27 @@ NodeKey KeyOf(const WireToken& t) {
   return key;
 }
 
-/// ServerOptions::mmap_stores tri-state: an explicit setting wins, -1
-/// falls back to the RSSE_MMAP environment toggle.
-bool ResolveMmapOption(int requested) {
-  if (requested >= 0) return requested != 0;
-  const char* env = std::getenv("RSSE_MMAP");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-         std::strcmp(env, "true") == 0;
+/// A filter tree's snapshot index: its wire blob plus a trailing CRC32C,
+/// which recovery checks before it deserializes (an EMM slot's v2 store
+/// image carries per-section CRCs of its own).
+Bytes FilterTreeSnapshot(const Bytes& blob) {
+  Bytes index = blob;
+  AppendUint32(index, Crc32c(blob.data(), blob.size()));
+  return index;
+}
+
+Result<pb::FilterTreeIndex> LoadFilterTreeSnapshot(Bytes index) {
+  if (index.size() < 4 || Crc32c(index.data(), index.size() - 4) !=
+                              ReadUint32(index, index.size() - 4)) {
+    return Status::InvalidArgument("filter-tree snapshot checksum mismatch");
+  }
+  index.resize(index.size() - 4);
+  return pb::FilterTreeIndex::Deserialize(index);
 }
 
 }  // namespace
 
 EmmServer::EmmServer(const ServerOptions& options) : options_(options) {
-  mmap_on_ = ResolveMmapOption(options.mmap_stores);
   // The primary slot exists from the start so the Update path can
   // populate a store before any SetupStore arrives.
   HostedStore& primary = stores_[rsse::kPrimaryStore];
@@ -111,51 +118,18 @@ Status EmmServer::RecoverStores() {
     for (const StorePersistence::RecoveredStore& rec : report->stores) {
       Status installed = InstallRecoveredStore(rec);
       if (!installed.ok()) {
-        // The checksum held but the blob would not deserialize (a bug in
-        // whatever wrote it): quarantine the slot like a checksum failure
-        // — left in place, the bad file would re-fail and re-count on
-        // every boot — and keep serving the rest rather than refusing to
-        // start.
+        // The container's checksums held but the index failed its own or
+        // would not deserialize: quarantine the slot like a container
+        // checksum failure — left in place, the bad file would re-fail
+        // and re-count on every boot — and keep serving the rest rather
+        // than refusing to start.
         (*persistence)->QuarantineSlot(rec.store_id);
         ++recovery_stats_.corrupt_snapshots_dropped;
         continue;
       }
-      if (!mmap_on_ ||
-          rec.kind != static_cast<uint8_t>(rsse::StoreKind::kEmm)) {
-        continue;
-      }
-      if (rec.format != 2) {
-        // First mmap boot over a v1 (or WAL-only) slot: the store was
-        // fully heap-loaded anyway, so fold it — replayed WAL records
-        // included — into a v2 snapshot the *next* boot can map. Failure
-        // is non-fatal: the v1 snapshot + WAL still cover the data.
-        HostedStore& hosted = stores_[rec.store_id];
-        const uint64_t epoch = store_epochs_[rec.store_id] + 1;
-        const Bytes image = hosted.emm.SerializeV2(rec.kind, epoch);
-        // A gate invalidated by replayed updates must not be resurrected.
-        ConstByteSpan gate_blob;
-        if (hosted.gate != nullptr) {
-          gate_blob =
-              ConstByteSpan(rec.gate_blob.data(), rec.gate_blob.size());
-        }
-        const Status migrated = (*persistence)->PersistSnapshot(
-            rec.store_id, epoch, rec.kind,
-            ConstByteSpan(image.data(), image.size()), gate_blob,
-            SnapshotFormat::kV2);
-        if (migrated.ok()) {
-          store_epochs_[rec.store_id] = epoch;
-          store_formats_[rec.store_id] = 2;
-        } else {
-          std::fprintf(stderr,
-                       "rsse: store %u not migrated to v2: %s\n",
-                       rec.store_id, migrated.message().c_str());
-        }
-      } else if (!rec.updates.empty()) {
-        // Mapped base plus replayed deltas: the touched shards live on
-        // heap until the next clean drain folds them back into a fresh
-        // v2 snapshot. No eager fold here — boot stays O(1).
-        dirty_stores_.insert(rec.store_id);
-      }
+      // Replayed deltas live on heap until the next clean drain folds
+      // them into a fresh snapshot; boot does not fold eagerly.
+      if (!rec.updates.empty()) dirty_stores_.insert(rec.store_id);
     }
   }
   recovery_stats_.corrupt_snapshots_dropped += report->corrupt_snapshots;
@@ -171,42 +145,16 @@ Status EmmServer::InstallRecoveredStore(
   incoming.kind = static_cast<rsse::StoreKind>(rec.kind);
   if (rec.kind == static_cast<uint8_t>(rsse::StoreKind::kEmm)) {
     if (rec.has_snapshot) {
-      const int threads =
-          ResolveThreadCount(options_.search_threads, "RSSE_SEARCH_THREADS");
-      if (rec.format == 2) {
-        // v2 snapshots hold the runtime layout in place. Serving mmap:
-        // map it — O(1) regardless of index size; the per-section CRCs
-        // are deferred (every probe is bounds-checked instead). Serving
-        // heap: load through the same image with the checksum pass.
-        Result<std::shared_ptr<const MappedFile>> file =
-            MappedFile::Open(rec.snapshot_path);
-        if (!file.ok()) return file.status();
-        if (rec.index_offset + rec.index_len > (*file)->size() ||
-            rec.index_offset + rec.index_len < rec.index_offset) {
-          return Status::InvalidArgument(
-              "v2 snapshot index range exceeds the file");
-        }
-        if (mmap_on_) {
-          shard::V2OpenOptions vopts;
-          vopts.prefault = options_.prefault;
-          Result<shard::ShardedEmm> store = shard::ShardedEmm::OpenMappedImage(
-              std::move(*file), rec.index_offset, rec.index_len, vopts);
-          if (!store.ok()) return store.status();
-          incoming.emm = std::move(store).value();
-        } else {
-          Result<shard::ShardedEmm> store = shard::ShardedEmm::LoadV2(
-              (*file)->bytes().subspan(rec.index_offset, rec.index_len),
-              threads, /*verify_checksums=*/true);
-          if (!store.ok()) return store.status();
-          incoming.emm = std::move(store).value();
-          // The mapping drops here; the store owns heap copies.
-        }
-      } else {
-        Result<shard::ShardedEmm> store =
-            shard::ShardedEmm::Deserialize(rec.index_blob, threads);
-        if (!store.ok()) return store.status();
-        incoming.emm = std::move(store).value();
-      }
+      // The snapshot holds the runtime layout in place: map it. The map
+      // verifies every section CRC before the store serves — one read of
+      // each page, which also warms the page cache for the first probes.
+      Result<std::shared_ptr<const MappedFile>> file =
+          MappedFile::Open(rec.snapshot_path);
+      if (!file.ok()) return file.status();
+      Result<shard::ShardedEmm> store = shard::ShardedEmm::OpenMappedImage(
+          std::move(*file), rec.index_offset, rec.index_len);
+      if (!store.ok()) return store.status();
+      incoming.emm = std::move(store).value();
       if (!rec.gate_blob.empty()) {
         Result<rsse::BloomLabelGate> gate =
             rsse::BloomLabelGate::Deserialize(rec.gate_blob);
@@ -236,8 +184,11 @@ Status EmmServer::InstallRecoveredStore(
     if (!rec.has_snapshot) {
       return Status::InvalidArgument("filter-tree slot without snapshot");
     }
+    Result<Bytes> index =
+        ReadFileRange(rec.snapshot_path, rec.index_offset, rec.index_len);
+    if (!index.ok()) return index.status();
     Result<pb::FilterTreeIndex> tree =
-        pb::FilterTreeIndex::Deserialize(rec.index_blob);
+        LoadFilterTreeSnapshot(std::move(index).value());
     if (!tree.ok()) return tree.status();
     incoming.tree =
         std::make_unique<pb::FilterTreeIndex>(std::move(tree).value());
@@ -246,7 +197,6 @@ Status EmmServer::InstallRecoveredStore(
   }
   stores_[rec.store_id] = std::move(incoming);
   store_epochs_[rec.store_id] = rec.epoch;
-  store_formats_[rec.store_id] = rec.has_snapshot ? rec.format : 0;
   hosted_ = true;
   ++recovery_stats_.stores_recovered;
   return Status::Ok();
@@ -404,12 +354,11 @@ Status EmmServer::Serve() {
     listen_fd_ = -1;
   }
   if (persist_ != nullptr) {
-    // A *clean* drain folds heap deltas of mapped stores back into fresh
-    // v2 snapshots, so the successor boots with an O(1) map again. A hard
+    // A *clean* drain folds heap deltas back into fresh snapshots, so the
+    // successor maps its stores without replaying the WAL. A hard
     // Shutdown() (crash semantics — what the fault tests simulate) skips
     // the fold: the WAL alone must carry the deltas.
-    if (mmap_on_ && drain_started &&
-        !stop_.load(std::memory_order_relaxed)) {
+    if (drain_started && !stop_.load(std::memory_order_relaxed)) {
       FoldDirtyStores();
     }
     // Belt and braces: appends fsync individually, but a drain should
@@ -434,10 +383,9 @@ void EmmServer::FoldDirtyStores() {
     // folded snapshot carries none.
     const Status persisted = persist_->PersistSnapshot(
         store_id, epoch, kind, ConstByteSpan(image.data(), image.size()),
-        {}, SnapshotFormat::kV2);
+        {});
     if (persisted.ok()) {
       store_epochs_[store_id] = epoch;
-      store_formats_[store_id] = 2;
     } else {
       // Non-fatal: the WAL still covers the deltas; the next boot replays
       // them onto the mapped base again.
@@ -446,6 +394,11 @@ void EmmServer::FoldDirtyStores() {
     }
   }
   dirty_stores_.clear();
+}
+
+uint8_t EmmServer::SnapshotGeneration(uint32_t store_id) const {
+  const auto it = store_epochs_.find(store_id);
+  return it != store_epochs_.end() && it->second > 0 ? 2 : 0;
 }
 
 std::vector<EmmServer::StoreMemoryInfo> EmmServer::StoreMemory() const {
@@ -461,8 +414,7 @@ std::vector<EmmServer::StoreMemoryInfo> EmmServer::StoreMemory() const {
     } else if (hosted.tree != nullptr) {
       info.heap_bytes = hosted.tree->SizeBytes();
     }
-    const auto fmt = store_formats_.find(store_id);
-    info.snapshot_format = fmt == store_formats_.end() ? 0 : fmt->second;
+    info.snapshot_format = SnapshotGeneration(store_id);
     out.push_back(info);
   }
   return out;
@@ -938,31 +890,21 @@ void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
     // a crash, so the snapshot reaches disk before the table swap.
     if (persist_ != nullptr) {
       const uint64_t epoch = store_epochs_[req->store_id] + 1;
-      const bool as_v2 =
-          mmap_on_ && req->kind == static_cast<uint8_t>(rsse::StoreKind::kEmm);
-      Status persisted;
-      if (as_v2) {
-        // Snapshot the runtime layout, not the wire blob: the next boot
-        // maps exactly what this process would serve. Filter trees keep
-        // the v1 container (they have no mmap-native image).
-        const Bytes image = incoming.emm.SerializeV2(req->kind, epoch);
-        persisted = persist_->PersistSnapshot(
-            req->store_id, epoch, req->kind,
-            ConstByteSpan(image.data(), image.size()),
-            ConstByteSpan(req->gate_blob.data(), req->gate_blob.size()),
-            SnapshotFormat::kV2);
-      } else {
-        persisted = persist_->PersistSnapshot(
-            req->store_id, epoch, req->kind,
-            ConstByteSpan(req->index_blob.data(), req->index_blob.size()),
-            ConstByteSpan(req->gate_blob.data(), req->gate_blob.size()));
-      }
+      // Snapshot the runtime layout, not the wire blob: the next boot maps
+      // exactly what this process would serve.
+      const Bytes index =
+          incoming.kind == rsse::StoreKind::kEmm
+              ? incoming.emm.SerializeV2(req->kind, epoch)
+              : FilterTreeSnapshot(req->index_blob);
+      const Status persisted = persist_->PersistSnapshot(
+          req->store_id, epoch, req->kind,
+          ConstByteSpan(index.data(), index.size()),
+          ConstByteSpan(req->gate_blob.data(), req->gate_blob.size()));
       if (!persisted.ok()) {
         EmitError(conn, "store not persisted: " + persisted.message());
         return;
       }
       store_epochs_[req->store_id] = epoch;
-      store_formats_[req->store_id] = as_v2 ? 2 : 1;
       dirty_stores_.erase(req->store_id);
     }
     stores_[req->store_id] = std::move(incoming);
@@ -1010,8 +952,8 @@ void EmmServer::RunUpdate(Connection& conn, const Bytes& payload) {
       primary.emm.Insert(label, ConstByteSpan(value.data(), value.size()));
     }
     // Inserts copy touched shards off the mapping; remember to fold the
-    // deltas into a fresh v2 snapshot at the next clean drain.
-    if (mmap_on_ && persist_ != nullptr) {
+    // deltas into a fresh snapshot at the next clean drain.
+    if (persist_ != nullptr) {
       dirty_stores_.insert(rsse::kPrimaryStore);
     }
     hosted_ = true;
@@ -1039,9 +981,7 @@ void EmmServer::RunStats(Connection& conn) {
         resp.size_bytes = primary.tree->SizeBytes();
         resp.heap_bytes = primary.tree->SizeBytes();
       }
-      const auto fmt = store_formats_.find(rsse::kPrimaryStore);
-      resp.snapshot_format =
-          fmt == store_formats_.end() ? 0 : fmt->second;
+      resp.snapshot_format = SnapshotGeneration(rsse::kPrimaryStore);
     }
   }
   resp.batches_served = stats_.batches_served.load(std::memory_order_relaxed);

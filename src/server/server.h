@@ -72,30 +72,18 @@ struct ServerOptions {
   size_t max_ids_per_result_frame = size_t{1} << 14;
   size_t max_payloads_per_result_frame = size_t{1} << 12;
   /// Durable store directory. Empty = in-memory only (the pre-v4
-  /// behaviour). When set, SetupStore blobs persist as checksummed
-  /// snapshot files, Update batches append to a per-store WAL, and
-  /// Listen() replays both so a restarted daemon serves the exact store
-  /// table it held at the crash.
+  /// behaviour). When set, every SetupStore slot persists as a snapshot
+  /// in the mmap-native container, Update batches append to a per-store
+  /// WAL, and Listen() maps each snapshot (verifying every checksum
+  /// before it serves) and replays the WAL on top, so a restarted daemon
+  /// serves the exact store table it held at the crash. Replayed deltas
+  /// live on heap until a clean drain folds them into a fresh snapshot.
   std::string data_dir;
   /// Graceful-drain budget: after BeginDrain(), in-flight streaming
   /// cursors get this long to finish before Serve() exits anyway
   /// (connections cut mid-stream). <= 0 exits immediately, cutting even
   /// connections with unflushed output.
   int drain_timeout_ms = 10000;
-  /// Serve encrypted-dictionary stores straight from mapped v2 snapshot
-  /// files (`--mmap`): snapshots are written in the mmap-native container
-  /// and recovery maps them — O(1) in the index size — instead of
-  /// deserializing; WAL replay copies only the touched shards to heap and
-  /// a clean drain folds the deltas back into a mappable snapshot. 1 = on,
-  /// 0 = off; -1 (the default) resolves the RSSE_MMAP environment
-  /// variable ("1"/"on"/"true" enables; absent = off). v1 snapshots still
-  /// recover via the heap path and are rewritten as v2 on the first
-  /// mmap-enabled boot.
-  int mmap_stores = -1;
-  /// With mmap serving on: synchronously fault every mapped store into
-  /// the page cache during recovery (`--prefault`), trading boot time for
-  /// no first-probe page-fault latency.
-  bool prefault = false;
 };
 
 /// Cumulative serving statistics (reported through StatsResponse). Fields
@@ -200,14 +188,11 @@ class EmmServer {
     /// updates migrate touched shards to heap.
     uint64_t mapped_bytes = 0;
     uint64_t heap_bytes = 0;
-    /// Raw persist SnapshotFormat of the store's durable snapshot
-    /// (0 = not persisted).
+    /// Snapshot container generation: 2 once the slot has a snapshot,
+    /// 0 when it has none.
     uint8_t snapshot_format = 0;
   };
   std::vector<StoreMemoryInfo> StoreMemory() const;
-
-  /// True when this server resolves mmap serving on (option/environment).
-  bool mmap_enabled() const { return mmap_on_; }
 
  private:
   /// Scheduling state of one connection's job queue. At most one job of a
@@ -364,16 +349,22 @@ class EmmServer {
   /// jobs, all output flushed) — the drain loop's exit condition.
   bool AllConnectionsQuiesced();
 
-  /// Rebuilds one recovered slot (deserialize or map + WAL replay) into
-  /// the store table. Called under the exclusive store lock.
+  /// Rebuilds one recovered slot (map and verify its snapshot, then
+  /// replay its WAL) into the store table. Called under the exclusive
+  /// store lock.
   Status InstallRecoveredStore(const StorePersistence::RecoveredStore& rec)
       RSSE_REQUIRES(store_mutex_);
 
   /// Re-snapshots every dirty (updated-since-snapshot) EMM store as a v2
   /// image — the clean-drain fold that turns WAL deltas back into a
-  /// mappable file. Mmap mode only; failures are logged, not fatal (the
-  /// WAL still covers the deltas).
+  /// mappable file. Failures are logged, not fatal (the WAL still covers
+  /// the deltas).
   void FoldDirtyStores();
+
+  /// StoreMemoryInfo::snapshot_format of a slot: a slot has a snapshot
+  /// exactly when its epoch is above 0.
+  uint8_t SnapshotGeneration(uint32_t store_id) const
+      RSSE_REQUIRES_SHARED(store_mutex_);
 
   int ResolveWorkerCount() const;
 
@@ -394,17 +385,13 @@ class EmmServer {
   bool recovered_ = false;
   /// Written only during RecoverStores (single-threaded, before Serve).
   RecoveryStats recovery_stats_;
-  /// Resolved mmap-serving mode (options_.mmap_stores / RSSE_MMAP).
-  bool mmap_on_ = false;
   /// Guards the store table and its persistence bookkeeping: searches
   /// take it shared per run segment, SetupStore/Update/recovery exclusive.
   mutable SharedMutex store_mutex_;
-  /// Per-slot snapshot epoch (see persist.h).
+  /// Per-slot snapshot epoch (see persist.h); 0 until the slot has one.
   std::map<uint32_t, uint64_t> store_epochs_ RSSE_GUARDED_BY(store_mutex_);
-  /// Per-slot durable snapshot generation (raw persist SnapshotFormat).
-  std::map<uint32_t, uint8_t> store_formats_ RSSE_GUARDED_BY(store_mutex_);
   /// EMM slots updated since their last snapshot (WAL deltas pending a
-  /// fold); tracked in mmap mode.
+  /// fold).
   std::set<uint32_t> dirty_stores_ RSSE_GUARDED_BY(store_mutex_);
   /// Store table, keyed by store slot.
   std::map<uint32_t, HostedStore> stores_ RSSE_GUARDED_BY(store_mutex_);

@@ -25,20 +25,21 @@
 //                      a search job parks when its connection's unsent
 //                      output would cross it, and resumes once the
 //                      socket drains (0 = unbounded; default 8 MiB)
-//   --data-dir=<path>  durable store directory: SetupStore blobs persist
-//                      as checksummed snapshots, Update batches append to
-//                      a write-ahead log, and boot replays both so a
-//                      restarted server answers exactly as before
+//   --data-dir=<path>  durable store directory: every SetupStore slot
+//                      persists as a snapshot in the mmap-native
+//                      container, Update batches append to a write-ahead
+//                      log, and boot maps each snapshot (verifying every
+//                      checksum first) and replays the log, so a
+//                      restarted server answers exactly as before. A
+//                      snapshot in the retired v1 container fails the
+//                      boot with its file named.
 //   --drain-timeout-ms=<ms>  graceful-drain budget: the first
 //                      SIGTERM/SIGINT stops accepting and lets in-flight
 //                      streams finish up to this long before exiting
 //                      (default 10000; a second signal aborts immediately)
-//   --mmap=on|off      serve encrypted-dictionary stores straight off
-//                      mmap'd v2 snapshots (O(1) recovery; default: the
-//                      RSSE_MMAP environment toggle, else off)
-//   --prefault=0|1     with --mmap=on, touch every mapped page during
-//                      recovery so first queries never page-fault
-//                      (default 0)
+//   --mmap=on          accepted for compatibility: durable stores are
+//                      always served off their mapped snapshots; any
+//                      other value exits 2
 
 #include <chrono>
 #include <csignal>
@@ -85,14 +86,12 @@ int main(int argc, char** argv) {
           "the --threads resolution)\n"
           "  --max-outbound-bytes=<n>  (per-connection outbound "
           "high-water mark, 0 = unbounded, default 8 MiB)\n"
-          "  --data-dir=<path>  (durable store snapshots + update WAL, "
-          "replayed on boot)\n"
+          "  --data-dir=<path>  (durable store snapshots + update WAL; "
+          "boot maps and checksums the snapshots, then replays the WAL)\n"
           "  --drain-timeout-ms=<ms>  (graceful-drain budget after "
           "SIGTERM/SIGINT, default 10000)\n"
-          "  --mmap=on|off  (serve stores off mmap'd v2 snapshots; "
-          "default: RSSE_MMAP env, else off)\n"
-          "  --prefault=0|1  (with --mmap=on, fault every mapped page in "
-          "at boot)\n"
+          "  --mmap=on  (accepted for compatibility; durable stores are "
+          "always mapped)\n"
           "Numeric values must parse in full and fit their field; anything "
           "else exits 2.\n");
       return 0;
@@ -112,23 +111,14 @@ int main(int argc, char** argv) {
     options.data_dir = v;
   }
   NumericFlag(argc, argv, "drain-timeout-ms", options.drain_timeout_ms);
-  if (const char* v = FlagValue(argc, argv, "mmap")) {
-    // This flag changes the serving substrate; a typo must not silently
-    // fall back to the environment default.
-    if (std::strcmp(v, "on") == 0) {
-      options.mmap_stores = 1;
-    } else if (std::strcmp(v, "off") == 0) {
-      options.mmap_stores = 0;
-    } else {
-      std::fprintf(stderr,
-                   "rsse_serverd: --mmap must be 'on' or 'off' (got '%s')\n",
-                   v);
-      return 2;
-    }
+  if (const char* v = FlagValue(argc, argv, "mmap");
+      v != nullptr && std::strcmp(v, "on") != 0) {
+    std::fprintf(stderr,
+                 "rsse_serverd: --mmap accepts only 'on' (got '%s'); durable "
+                 "stores are always served off their mapped snapshots\n",
+                 v);
+    return 2;
   }
-  int prefault = 0;
-  NumericFlag(argc, argv, "prefault", prefault);
-  options.prefault = prefault != 0;
 
   rsse::server::EmmServer server(options);
   const auto recover_start = std::chrono::steady_clock::now();
@@ -152,11 +142,10 @@ int main(int argc, char** argv) {
     for (const auto& mem : server.StoreMemory()) {
       std::printf(
           "rsse_serverd: store %u: %llu mapped byte(s), %llu heap byte(s), "
-          "snapshot v%u (%s)\n",
+          "snapshot v%u\n",
           mem.store_id, static_cast<unsigned long long>(mem.mapped_bytes),
           static_cast<unsigned long long>(mem.heap_bytes),
-          mem.snapshot_format,
-          server.mmap_enabled() ? "mmap serving" : "heap serving");
+          mem.snapshot_format);
     }
   }
   g_server = &server;

@@ -234,12 +234,13 @@ struct StatsResponse {
   uint64_t tokens_received = 0;
   uint64_t nodes_deduped = 0;
   /// Primary-store memory provenance: bytes served straight off the
-  /// mapped snapshot vs bytes copied to heap (updated shards, or the
-  /// whole store when mmap serving is off).
+  /// mapped snapshot vs bytes on heap (shards touched by updates or WAL
+  /// replay, a store shipped since boot, or every store without a data
+  /// dir).
   uint64_t mapped_bytes = 0;
   uint64_t heap_bytes = 0;
-  /// Snapshot container generation backing the primary store (raw
-  /// server::SnapshotFormat; 0 when nothing is persisted).
+  /// Snapshot container generation backing the primary store: 2 once it
+  /// has a snapshot, 0 when nothing is persisted.
   uint8_t snapshot_format = 0;
 
   Bytes Encode() const;

@@ -389,9 +389,8 @@ Result<ShardedEmm> ShardedEmm::Deserialize(const Bytes& blob, int threads) {
 // validator recomputes every offset from the byte counts alone, so
 // unaligned, overlapping or out-of-bounds sections are all rejected by one
 // equality check per field. The header + table are validated (and
-// checksummed) eagerly — O(shards), not O(bytes) — while section CRCs are
-// verified only when V2OpenOptions.verify_checksums asks for the full
-// pass.
+// checksummed) first — O(shards), not O(bytes) — then the section CRCs
+// in one pass over the bytes.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -587,14 +586,8 @@ Bytes ShardedEmm::SerializeV2(uint8_t kind, uint64_t epoch) const {
   return out;
 }
 
-bool ShardedEmm::IsV2Image(ConstByteSpan image) {
-  return image.size() >= sizeof(kV2Magic) &&
-         std::memcmp(image.data(), kV2Magic, sizeof(kV2Magic)) == 0;
-}
-
 Result<ShardedEmm> ShardedEmm::OpenMappedImage(
-    std::shared_ptr<const MappedFile> file, size_t offset, size_t length,
-    const V2OpenOptions& options) {
+    std::shared_ptr<const MappedFile> file, size_t offset, size_t length) {
   if (file == nullptr || offset > file->size() ||
       length > file->size() - offset) {
     return Status::InvalidArgument("v2 image range exceeds the mapping");
@@ -602,9 +595,7 @@ Result<ShardedEmm> ShardedEmm::OpenMappedImage(
   const ConstByteSpan image = file->bytes().subspan(offset, length);
   std::vector<V2ShardRef> refs;
   RSSE_RETURN_IF_ERROR(ParseV2Header(image, refs));
-  if (options.verify_checksums) {
-    RSSE_RETURN_IF_ERROR(VerifyV2SectionChecksums(image, refs, 0));
-  }
+  RSSE_RETURN_IF_ERROR(VerifyV2SectionChecksums(image, refs, 0));
   ShardedEmm store(refs.size());
   for (size_t s = 0; s < refs.size(); ++s) {
     const V2ShardRef& ref = refs[s];
@@ -617,19 +608,17 @@ Result<ShardedEmm> ShardedEmm::OpenMappedImage(
   }
   // Probes jump label-hash-randomly across slot tables and arenas: tell
   // the kernel not to read ahead, so the page cache holds only the probed
-  // working set. --prefault instead faults the whole image in now.
+  // working set. (Set after the checksum pass, which reads sequentially.)
   file->AdviseRandom(offset, length);
-  if (options.prefault) file->Prefault(offset, length);
   store.mapping_ = std::move(file);
   return store;
 }
 
-Result<ShardedEmm> ShardedEmm::OpenMapped(const std::string& path,
-                                          const V2OpenOptions& options) {
+Result<ShardedEmm> ShardedEmm::OpenMapped(const std::string& path) {
   Result<std::shared_ptr<const MappedFile>> file = MappedFile::Open(path);
   if (!file.ok()) return file.status();
   const size_t size = (*file)->size();
-  return OpenMappedImage(std::move(*file), 0, size, options);
+  return OpenMappedImage(std::move(*file), 0, size);
 }
 
 Result<ShardedEmm> ShardedEmm::LoadV2(ConstByteSpan image, int threads,

@@ -28,18 +28,6 @@ struct ShardOptions {
   sse::PaddingPolicy padding;
 };
 
-/// Knobs for opening a v2 store image (`OpenMapped` / `OpenMappedImage`).
-struct V2OpenOptions {
-  /// Verify the per-section CRC32Cs of every shard before serving. This
-  /// reads the whole image — O(size), not O(1) — so the mmap serving path
-  /// leaves it off (per-probe bounds checks already rule out UB) and the
-  /// hostile-input tests and heap loads turn it on.
-  bool verify_checksums = false;
-  /// Touch every page of the image up front (synchronous page-cache
-  /// warmup; the serverd --prefault pass).
-  bool prefault = false;
-};
-
 /// The flat encrypted dictionary of Π_bas, hash-partitioned by label across
 /// N independent `FlatLabelMap` shards so that multi-core machines build,
 /// load, save and search in parallel.
@@ -110,28 +98,26 @@ class ShardedEmm {
   /// bytes.
   Bytes SerializeV2(uint8_t kind = 0, uint64_t epoch = 0) const;
 
-  /// True when `image` starts with the v2 magic (format sniffing for load
-  /// paths that accept either generation).
-  static bool IsV2Image(ConstByteSpan image);
+  /// Maps `path` and serves straight from the file, as `OpenMappedImage`
+  /// over the whole file.
+  static Result<ShardedEmm> OpenMapped(const std::string& path);
 
-  /// Maps `path` and serves straight from the file: O(1) in the image size
-  /// (header + section table validated; shard bytes stay on disk until
-  /// probed). The store keeps the mapping alive and `madvise`s it for
-  /// random access. Mutation copies only the touched shards to heap.
-  static Result<ShardedEmm> OpenMapped(const std::string& path,
-                                       const V2OpenOptions& options = {});
-
-  /// As `OpenMapped`, over the byte range [offset, offset+length) of an
-  /// existing mapping (the snapshot container embeds the image at an
-  /// offset). The store shares ownership of `file`.
+  /// Serves the v2 image at [offset, offset+length) of `file` (the
+  /// snapshot container embeds it at an offset) straight from the
+  /// mapping: validates the header and section table, verifies every
+  /// section CRC32C (one sequential read of the image, which also warms
+  /// the page cache), then `madvise`s the range for random access. The
+  /// store shares ownership of `file`; mutation copies only the touched
+  /// shards to heap.
   static Result<ShardedEmm> OpenMappedImage(
-      std::shared_ptr<const MappedFile> file, size_t offset, size_t length,
-      const V2OpenOptions& options = {});
+      std::shared_ptr<const MappedFile> file, size_t offset, size_t length);
 
-  /// Loads a v2 image fully onto the heap (the --mmap=off path for v2
-  /// snapshots): same validation as `OpenMapped` plus, by default, the
-  /// per-section CRC pass, then a parallel copy with `threads` workers
-  /// (0 → RSSE_BUILD_THREADS → 1).
+  /// Loads a v2 image from a byte span onto the heap with `threads`
+  /// workers (0 → RSSE_BUILD_THREADS → 1): the same structural validation
+  /// as `OpenMappedImage`, plus the per-section CRC pass unless
+  /// `verify_checksums` is false. The entry point of the hostile-image
+  /// tests and the fuzz harness; the lax mode shows that the structural
+  /// checks alone keep an image with recomputed CRCs from faulting.
   static Result<ShardedEmm> LoadV2(ConstByteSpan image, int threads = 0,
                                    bool verify_checksums = true);
 

@@ -1,8 +1,8 @@
-// Crash-safety of the server's durable store table: snapshot and WAL
-// codecs, torn-tail truncation, epoch filtering of stale WAL records,
-// corrupt-snapshot quarantine, and full EmmServer recovery — a server
-// restarted from --data-dir must rebuild exactly the store table the old
-// process acked, byte for byte of the blobs it persisted.
+// Crash-safety of the server's durable store table: the snapshot
+// container and WAL codecs, torn-tail truncation, epoch filtering of stale
+// WAL records, corrupt-snapshot quarantine, and full EmmServer recovery —
+// a server restarted from --data-dir must rebuild exactly the store table
+// the old process acked, and set aside any slot whose bytes do not check.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -19,8 +19,13 @@
 #include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/mapped_file.h"
+#include "common/rng.h"
+#include "data/generators.h"
+#include "pb/pb_scheme.h"
+#include "rsse/factory.h"
 #include "server/client.h"
 #include "server/persist.h"
+#include "server/remote_backend.h"
 #include "server/server.h"
 #include "server/wire.h"
 
@@ -86,6 +91,14 @@ void WriteFile(const std::string& path, const Bytes& data) {
   fclose(f);
 }
 
+/// The index bytes a recovered slot's snapshot holds on disk.
+Bytes IndexOf(const StorePersistence::RecoveredStore& store) {
+  auto bytes = ReadFileRange(store.snapshot_path, store.index_offset,
+                             store.index_len);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : Bytes{};
+}
+
 TEST(WalCodecTest, RoundTripsMultipleRecords) {
   Bytes log;
   StorePersistence::EncodeWalRecord(7, ConstByteSpan(Blob(100, 1)), log);
@@ -148,32 +161,6 @@ TEST(WalCodecTest, TruncatedPrefixesNeverCrash) {
   }
 }
 
-TEST(PersistTest, SnapshotRoundTripsThroughRecovery) {
-  TempDir dir;
-  const Bytes index = Blob(1000, 11);
-  const Bytes gate = Blob(200, 13);
-  {
-    auto p = StorePersistence::Open(dir.path());
-    ASSERT_TRUE(p.ok()) << p.status().ToString();
-    ASSERT_TRUE((*p)->PersistSnapshot(0, 1, 0, ConstByteSpan(index),
-                                      ConstByteSpan(gate))
-                    .ok());
-  }
-  auto p = StorePersistence::Open(dir.path());
-  ASSERT_TRUE(p.ok());
-  auto report = (*p)->Recover();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->stores.size(), 1u);
-  const auto& store = report->stores[0];
-  EXPECT_EQ(store.store_id, 0u);
-  EXPECT_TRUE(store.has_snapshot);
-  EXPECT_EQ(store.epoch, 1u);
-  EXPECT_EQ(store.index_blob, index);
-  EXPECT_EQ(store.gate_blob, gate);
-  EXPECT_TRUE(store.updates.empty());
-  EXPECT_EQ(report->corrupt_snapshots, 0u);
-}
-
 TEST(PersistTest, WalReplaysInOrderAndSurvivesReopen) {
   TempDir dir;
   {
@@ -216,7 +203,7 @@ TEST(PersistTest, NewSnapshotSupersedesOldWal) {
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->stores.size(), 1u);
   EXPECT_EQ(report->stores[0].epoch, 2u);
-  EXPECT_EQ(report->stores[0].index_blob, Blob(64, 9));
+  EXPECT_EQ(IndexOf(report->stores[0]), Blob(64, 9));
   EXPECT_TRUE(report->stores[0].updates.empty())
       << "epoch-1 records must not replay onto the epoch-2 snapshot";
   EXPECT_EQ(report->stale_wal_records, 1u);
@@ -256,11 +243,12 @@ TEST(PersistTest, CorruptSnapshotIsQuarantinedAndSlotRestartsEmpty) {
         (*p)->PersistSnapshot(3, 1, 0, ConstByteSpan(Blob(500, 7)), {}).ok());
     ASSERT_TRUE((*p)->AppendUpdate(3, 1, ConstByteSpan(Blob(30, 8))).ok());
   }
-  // Flip a byte in the middle of the snapshot's blob region.
+  // Flip a header byte (the epoch). A flip inside the index is the
+  // server's to catch: see ServerRecoveryTest below.
   const std::string snap = dir.path() + "/store-3.snap";
   auto bytes = ReadFile(snap);
   ASSERT_TRUE(bytes.ok());
-  (*bytes)[bytes->size() / 2] ^= 0x01;
+  (*bytes)[9] ^= 0x01;
   WriteFile(snap, *bytes);
 
   auto p = StorePersistence::Open(dir.path());
@@ -287,7 +275,8 @@ TEST(PersistTest, StrayTmpFilesAreRemoved) {
 }
 
 // --------------------------------------------------------------------------
-// v2 snapshot container: the mmap-native generation.
+// The snapshot container: one header page, the page-aligned index, then
+// the gate.
 // --------------------------------------------------------------------------
 
 TEST(PersistV2Test, SnapshotRoundTripsWithoutLoadingTheIndex) {
@@ -298,8 +287,7 @@ TEST(PersistV2Test, SnapshotRoundTripsWithoutLoadingTheIndex) {
     auto p = StorePersistence::Open(dir.path());
     ASSERT_TRUE(p.ok());
     ASSERT_TRUE((*p)->PersistSnapshot(0, 3, 1, ConstByteSpan(index),
-                                      ConstByteSpan(gate),
-                                      SnapshotFormat::kV2)
+                                      ConstByteSpan(gate))
                     .ok());
   }
   auto p = StorePersistence::Open(dir.path());
@@ -308,33 +296,30 @@ TEST(PersistV2Test, SnapshotRoundTripsWithoutLoadingTheIndex) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->stores.size(), 1u);
   const auto& store = report->stores[0];
+  EXPECT_EQ(store.store_id, 0u);
   EXPECT_TRUE(store.has_snapshot);
   EXPECT_EQ(store.kind, 1u);
   EXPECT_EQ(store.epoch, 3u);
-  EXPECT_EQ(store.format, 2u);
   // O(1) recovery contract: the index is NOT loaded — the caller maps
-  // (or reads) [index_offset, index_offset + index_len) itself.
-  EXPECT_TRUE(store.index_blob.empty());
+  // [index_offset, index_offset + index_len) itself.
   EXPECT_EQ(store.snapshot_path, dir.path() + "/store-0.snap");
   EXPECT_EQ(store.index_offset, 4096u);
   EXPECT_EQ(store.index_len, index.size());
   EXPECT_EQ(store.gate_blob, gate);
-  auto on_disk = ReadFileRange(store.snapshot_path, store.index_offset,
-                               store.index_len);
-  ASSERT_TRUE(on_disk.ok());
-  EXPECT_EQ(*on_disk, index);
+  EXPECT_TRUE(store.updates.empty());
+  EXPECT_EQ(report->corrupt_snapshots, 0u);
+  EXPECT_EQ(IndexOf(store), index);
 }
 
 TEST(PersistV2Test, EmptyGateAndIndexRoundTrip) {
   TempDir dir;
   auto p = StorePersistence::Open(dir.path());
   ASSERT_TRUE(p.ok());
-  ASSERT_TRUE(
-      (*p)->PersistSnapshot(0, 1, 0, {}, {}, SnapshotFormat::kV2).ok());
+  ASSERT_TRUE((*p)->PersistSnapshot(0, 1, 0, {}, {}).ok());
   auto report = (*p)->Recover();
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->stores.size(), 1u);
-  EXPECT_EQ(report->stores[0].format, 2u);
+  EXPECT_TRUE(report->stores[0].has_snapshot);
   EXPECT_EQ(report->stores[0].index_len, 0u);
   EXPECT_TRUE(report->stores[0].gate_blob.empty());
 }
@@ -366,8 +351,7 @@ TEST(PersistV2Test, HostileHeaderMatrixQuarantinesCleanly) {
       auto p = StorePersistence::Open(dir.path());
       ASSERT_TRUE(p.ok());
       ASSERT_TRUE((*p)->PersistSnapshot(0, 1, 0, ConstByteSpan(Blob(9000, 5)),
-                                        ConstByteSpan(Blob(100, 6)),
-                                        SnapshotFormat::kV2)
+                                        ConstByteSpan(Blob(100, 6)))
                       .ok());
     }
     const std::string snap = dir.path() + "/store-0.snap";
@@ -390,9 +374,8 @@ TEST(PersistV2Test, TruncatedBelowOnePageIsQuarantined) {
   {
     auto p = StorePersistence::Open(dir.path());
     ASSERT_TRUE(p.ok());
-    ASSERT_TRUE((*p)->PersistSnapshot(0, 1, 0, ConstByteSpan(Blob(500, 5)),
-                                      {}, SnapshotFormat::kV2)
-                    .ok());
+    ASSERT_TRUE(
+        (*p)->PersistSnapshot(0, 1, 0, ConstByteSpan(Blob(500, 5)), {}).ok());
   }
   const std::string snap = dir.path() + "/store-0.snap";
   auto bytes = ReadFile(snap);
@@ -405,31 +388,6 @@ TEST(PersistV2Test, TruncatedBelowOnePageIsQuarantined) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->corrupt_snapshots, 1u);
   EXPECT_TRUE(report->stores.empty());
-}
-
-TEST(PersistV2Test, EpochFilteringWorksAcrossFormats) {
-  // A v2 snapshot supersedes a v1-era WAL exactly like a v1 snapshot
-  // would: epoch tags are format-independent.
-  TempDir dir;
-  auto p = StorePersistence::Open(dir.path());
-  ASSERT_TRUE(p.ok());
-  ASSERT_TRUE(
-      (*p)->PersistSnapshot(0, 1, 0, ConstByteSpan(Blob(64, 1)), {}).ok());
-  ASSERT_TRUE((*p)->AppendUpdate(0, 1, ConstByteSpan(Blob(50, 2))).ok());
-  ASSERT_TRUE((*p)->PersistSnapshot(0, 2, 0, ConstByteSpan(Blob(2000, 9)),
-                                    {}, SnapshotFormat::kV2)
-                  .ok());
-  ASSERT_TRUE((*p)->AppendUpdate(0, 1, ConstByteSpan(Blob(50, 3))).ok());
-  auto reopened = StorePersistence::Open(dir.path());
-  ASSERT_TRUE(reopened.ok());
-  auto report = (*reopened)->Recover();
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report->stores.size(), 1u);
-  EXPECT_EQ(report->stores[0].epoch, 2u);
-  EXPECT_EQ(report->stores[0].format, 2u);
-  EXPECT_EQ(report->stores[0].index_len, 2000u);
-  EXPECT_TRUE(report->stores[0].updates.empty());
-  EXPECT_EQ(report->stale_wal_records, 1u);
 }
 
 TEST(PersistTest, InjectedTornSnapshotWriteLeavesOldSnapshotIntact) {
@@ -453,7 +411,7 @@ TEST(PersistTest, InjectedTornSnapshotWriteLeavesOldSnapshotIntact) {
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->stores.size(), 1u);
   EXPECT_EQ(report->stores[0].epoch, 1u);
-  EXPECT_EQ(report->stores[0].index_blob, Blob(128, 1))
+  EXPECT_EQ(IndexOf(report->stores[0]), Blob(128, 1))
       << "a failed snapshot write must leave the previous epoch durable";
 }
 
@@ -537,7 +495,7 @@ TEST(PersistTest, UnrollbackableTornAppendPoisonsTheSlot) {
   auto report = (*reopened)->Recover();
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->stores.size(), 1u);
-  EXPECT_EQ(report->stores[0].index_blob, Blob(64, 4));
+  EXPECT_EQ(IndexOf(report->stores[0]), Blob(64, 4));
   ASSERT_EQ(report->stores[0].updates.size(), 1u);
   EXPECT_EQ(report->stores[0].updates[0], Blob(80, 5));
 }
@@ -571,7 +529,7 @@ TEST(PersistTest, DirFsyncFailureAfterRenameStillCommitsTheSnapshot) {
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->stores.size(), 1u);
   EXPECT_EQ(report->stores[0].epoch, 3u);
-  EXPECT_EQ(report->stores[0].index_blob, Blob(64, 4));
+  EXPECT_EQ(IndexOf(report->stores[0]), Blob(64, 4));
   ASSERT_EQ(report->stores[0].updates.size(), 1u);
   EXPECT_EQ(report->stores[0].updates[0], Blob(40, 5));
 }
@@ -621,41 +579,171 @@ TEST(ServerRecoveryTest, UpdateBuiltStoreSurvivesRestart) {
   serve.join();
 }
 
-TEST(ServerRecoveryTest, UndeserializableSnapshotIsQuarantined) {
-  // A snapshot whose checksum holds but whose blob refuses to deserialize
-  // must be set aside exactly like a checksum failure: left in place it
-  // would re-fail and re-count on every boot.
-  TempDir dir;
-  {
-    auto p = StorePersistence::Open(dir.path());
-    ASSERT_TRUE(p.ok());
-    ASSERT_TRUE((*p)->PersistSnapshot(
-                        0, 1, static_cast<uint8_t>(rsse::StoreKind::kEmm),
-                        ConstByteSpan(Blob(100, 7)), {})
-                    .ok());
-    ASSERT_TRUE((*p)->AppendUpdate(0, 1, ConstByteSpan(Blob(30, 8))).ok());
+std::vector<std::pair<Label, Bytes>> OneEntryBatch(uint8_t fill) {
+  Label label;
+  label.fill(fill);
+  return {{label, Bytes(32, fill)}};
+}
+
+TEST(ServerRecoveryTest, FirstUpdateWaitsForTheWalEntryToBeDurable) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "build with -DRSSE_FAILPOINTS=ON";
   }
+  // A WAL-only slot creates its log on the first Update. Until the data
+  // dir is fsync'd, a power cut can drop the new file's entry and every
+  // batch acked into it, so a failed directory fsync must nack the batch.
+  TempDir dir;
   ServerOptions options;
   options.data_dir = dir.path();
   {
     EmmServer server(options);
     ASSERT_TRUE(server.Listen().ok());
-    EXPECT_EQ(server.recovery_stats().stores_recovered, 0u);
-    EXPECT_EQ(server.recovery_stats().corrupt_snapshots_dropped, 1u);
+    std::thread serve([&server] { EXPECT_TRUE(server.Serve().ok()); });
+    EmmClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    failpoint::Set("persist_wal_dir_fsync", "error*1");
+    EXPECT_FALSE(client.Update(OneEntryBatch(0x41)).ok());
+    failpoint::ClearAll();
+    EXPECT_EQ(server.EntryCount(), 0u) << "a nacked batch must not apply";
+    auto acked = client.Update(OneEntryBatch(0x42));
+    ASSERT_TRUE(acked.ok()) << acked.status().ToString();
+    EXPECT_EQ(acked->entries, 1u);
+    server.Shutdown();
+    serve.join();
   }
-  const std::string snap = dir.path() + "/store-0.snap";
-  EXPECT_EQ(access(snap.c_str(), F_OK), -1);
-  EXPECT_NE(access((snap + ".corrupt").c_str(), F_OK), -1)
-      << "the bad file is set aside for forensics, not deleted";
+
+  EmmServer restarted(options);
+  ASSERT_TRUE(restarted.Listen().ok());
+  EXPECT_EQ(restarted.recovery_stats().wal_records_applied, 1u);
+  EXPECT_EQ(restarted.EntryCount(), 1u);
   auto wal = ReadFile(dir.path() + "/store-0.wal");
   ASSERT_TRUE(wal.ok());
-  EXPECT_TRUE(wal->empty())
-      << "the WAL applied on top of the lost base and must not replay";
+  std::vector<StorePersistence::WalRecord> records;
+  StorePersistence::DecodeWalRecords(*wal, records);
+  ASSERT_EQ(records.size(), 1u);
+  auto update = UpdateRequest::Decode(records[0].payload);
+  ASSERT_TRUE(update.ok());
+  ASSERT_EQ(update->entries.size(), 1u);
+  EXPECT_EQ(update->entries[0].first, OneEntryBatch(0x42)[0].first)
+      << "only the acked batch may be on disk";
+}
 
-  // The second boot starts clean instead of re-counting the same file.
-  EmmServer second(options);
-  ASSERT_TRUE(second.Listen().ok());
-  EXPECT_EQ(second.recovery_stats().corrupt_snapshots_dropped, 0u);
+/// Ships two real slots into `dir` and crashes: slot 0 an encrypted
+/// dictionary with one logged Update on top, slot 1 a PB filter tree.
+void WriteTwoSlotDataDir(const std::string& dir) {
+  Rng rng(5);
+  const Dataset data = GenerateUniform(/*n=*/40, /*domain_size=*/32, rng);
+  std::unique_ptr<RangeScheme> emm = MakeScheme(SchemeId::kLogarithmicBrc);
+  std::unique_ptr<RangeScheme> tree = pb::MakePbScheme();
+  ASSERT_TRUE(emm->Build(data).ok());
+  ASSERT_TRUE(tree->Build(data).ok());
+  Result<ServerSetup> setup = emm->ExportServerSetup();
+  Result<ServerSetup> tree_setup = tree->ExportServerSetup();
+  ASSERT_TRUE(setup.ok() && tree_setup.ok());
+  ASSERT_EQ(tree_setup->stores.size(), 1u);
+  tree_setup->stores[0].store = 1;
+  setup->stores.push_back(tree_setup->stores[0]);
+
+  ServerOptions options;
+  options.data_dir = dir;
+  EmmServer server(options);
+  ASSERT_TRUE(server.Listen().ok());
+  std::thread serve([&server] { EXPECT_TRUE(server.Serve().ok()); });
+  EmmClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  const Status installed = InstallServerSetup(client, *setup);
+  EXPECT_TRUE(installed.ok()) << installed.ToString();
+  EXPECT_TRUE(client.Update(OneEntryBatch(0x23)).ok());
+  server.Shutdown();
+  serve.join();
+}
+
+/// Flips one byte of `dir`'s store-<slot>.snap at `offset(file)`.
+void FlipSnapshotByte(const std::string& dir, uint32_t slot,
+                      size_t (*offset)(const Bytes&)) {
+  const std::string snap = dir + "/store-" + std::to_string(slot) + ".snap";
+  auto bytes = ReadFile(snap);
+  ASSERT_TRUE(bytes.ok());
+  (*bytes)[offset(*bytes)] ^= 0x01;
+  WriteFile(snap, *bytes);
+}
+
+TEST(ServerRecoveryTest, UndeserializableSnapshotIsQuarantined) {
+  // A snapshot whose container checksums hold but whose index fails its
+  // own checks or will not deserialize must be set aside exactly like a
+  // container checksum failure, and only that slot: left in place it
+  // would re-fail and re-count on every boot, and refusing to boot would
+  // take every other slot down with it.
+  struct Case {
+    const char* name;
+    uint32_t slot;
+    size_t other_slots;
+  };
+  const Case cases[] = {
+      {"garbage index", 0, 0},
+      {"encrypted-dictionary arena byte", 0, 1},
+      {"filter-tree blob byte", 1, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempDir dir;
+    if (c.other_slots == 0) {
+      auto p = StorePersistence::Open(dir.path());
+      ASSERT_TRUE(p.ok());
+      ASSERT_TRUE((*p)->PersistSnapshot(
+                          0, 1, static_cast<uint8_t>(rsse::StoreKind::kEmm),
+                          ConstByteSpan(Blob(100, 7)), {})
+                      .ok());
+      ASSERT_TRUE((*p)->AppendUpdate(0, 1, ConstByteSpan(Blob(30, 8))).ok());
+    } else {
+      ASSERT_NO_FATAL_FAILURE(WriteTwoSlotDataDir(dir.path()));
+      if (c.slot == 0) {
+        // The index is a v2 store image at file offset 4096; shard 0's
+        // arena offset is at image offset 64, in the first section-table
+        // entry.
+        FlipSnapshotByte(dir.path(), 0, [](const Bytes& f) {
+          return static_cast<size_t>(4096 + LoadU64Le(f.data() + 4096 + 64));
+        });
+      } else {
+        // The container header's index_len sits at [25, 33).
+        FlipSnapshotByte(dir.path(), 1, [](const Bytes& f) {
+          return static_cast<size_t>(4096 + ReadUint64(f, 25) / 2);
+        });
+      }
+    }
+    ServerOptions options;
+    options.data_dir = dir.path();
+    {
+      EmmServer server(options);
+      ASSERT_TRUE(server.Listen().ok());
+      EXPECT_EQ(server.recovery_stats().corrupt_snapshots_dropped, 1u);
+      EXPECT_EQ(server.recovery_stats().stores_recovered, c.other_slots);
+      for (const auto& mem : server.StoreMemory()) {
+        if (mem.store_id == c.slot) {
+          EXPECT_EQ(mem.snapshot_format, 0u);
+        } else {
+          EXPECT_EQ(mem.snapshot_format, 2u) << "slot " << mem.store_id;
+          EXPECT_GT(mem.mapped_bytes + mem.heap_bytes, 0u)
+              << "slot " << mem.store_id << " must keep serving";
+        }
+      }
+    }
+    const std::string slot_path =
+        dir.path() + "/store-" + std::to_string(c.slot);
+    EXPECT_EQ(access((slot_path + ".snap").c_str(), F_OK), -1);
+    EXPECT_NE(access((slot_path + ".snap.corrupt").c_str(), F_OK), -1)
+        << "the bad file is set aside for forensics, not deleted";
+    auto wal = ReadFile(slot_path + ".wal");
+    ASSERT_TRUE(wal.ok());
+    EXPECT_TRUE(wal->empty())
+        << "the WAL applied on top of the lost base and must not replay";
+
+    // The second boot starts clean instead of re-counting the same file.
+    EmmServer second(options);
+    ASSERT_TRUE(second.Listen().ok());
+    EXPECT_EQ(second.recovery_stats().corrupt_snapshots_dropped, 0u);
+    EXPECT_EQ(second.recovery_stats().stores_recovered, c.other_slots);
+  }
 }
 
 }  // namespace

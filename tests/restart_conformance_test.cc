@@ -7,23 +7,26 @@
 // WAL tails: the restarted server serves exactly the last durable prefix.
 
 #include <algorithm>
+#include <cstdio>
 #include <dirent.h>
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "data/generators.h"
 #include "pb/pb_scheme.h"
 #include "rsse/factory.h"
 #include "rsse/scheme.h"
 #include "server/client.h"
+#include "server/persist.h"
 #include "server/remote_backend.h"
 #include "server/server.h"
+#include "server/wire.h"
 
 namespace rsse {
 namespace {
@@ -57,6 +60,26 @@ class TempDir {
  private:
   std::string path_;
 };
+
+void WriteFile(const std::string& path, const Bytes& data) {
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fwrite(data.data(), 1, data.size(), f), data.size());
+  fclose(f);
+}
+
+Bytes ReadFile(const std::string& path) {
+  Bytes out;
+  FILE* f = fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  uint8_t chunk[4096];
+  size_t n;
+  while ((n = fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    out.insert(out.end(), chunk, chunk + n);
+  }
+  fclose(f);
+  return out;
+}
 
 class LoopbackServer {
  public:
@@ -112,26 +135,18 @@ std::vector<SchemeId> AllServableSchemeIds() {
   return ids;
 }
 
-/// Scheme crossed with the serving substrate: every conformance case runs
-/// once heap-loaded and once mapped off the v2 snapshot, and the answers
-/// must be identical.
-using RestartParam = std::tuple<SchemeId, bool>;
-
-std::string RestartParamName(
-    const ::testing::TestParamInfo<RestartParam>& info) {
-  std::string name = SchemeName(std::get<0>(info.param));
+std::string RestartParamName(const ::testing::TestParamInfo<SchemeId>& info) {
+  std::string name = SchemeName(info.param);
   for (char& c : name) {
     if (!isalnum(static_cast<unsigned char>(c))) c = '_';
   }
-  return name + (std::get<1>(info.param) ? "_mmap" : "_heap");
+  return name;
 }
 
-class RestartConformanceTest
-    : public ::testing::TestWithParam<RestartParam> {};
+class RestartConformanceTest : public ::testing::TestWithParam<SchemeId> {};
 
 TEST_P(RestartConformanceTest, RestartedServerAnswersLikeLocal) {
-  const SchemeId scheme_id = std::get<0>(GetParam());
-  const bool mmap = std::get<1>(GetParam());
+  const SchemeId scheme_id = GetParam();
   Rng rng(17);
   Dataset data = GenerateUspsLike(/*n=*/60, /*domain_size=*/32, rng);
   std::unique_ptr<RangeScheme> scheme = Make(scheme_id);
@@ -144,7 +159,6 @@ TEST_P(RestartConformanceTest, RestartedServerAnswersLikeLocal) {
   server::ServerOptions options;
   options.port = 0;
   options.data_dir = dir.path();
-  options.mmap_stores = mmap ? 1 : 0;
 
   // Generation 1: install the stores, answer one query, die abruptly
   // (destructor path — nothing beyond the per-request fsyncs survives).
@@ -168,16 +182,15 @@ TEST_P(RestartConformanceTest, RestartedServerAnswersLikeLocal) {
   ASSERT_TRUE(client.Connect("127.0.0.1", restarted.port()).ok());
   server::RemoteBackend remote(client);
 
-  if (mmap) {
-    // The restarted server must actually serve off the mapping for at
-    // least one encrypted-dictionary store (filter trees stay heap).
-    uint64_t mapped_total = 0;
-    for (const auto& mem : restarted.store_memory()) {
-      mapped_total += mem.mapped_bytes;
-    }
-    if (scheme_id != SchemeId::kPb) {
-      EXPECT_GT(mapped_total, 0u) << "mmap mode served entirely from heap";
-    }
+  // Every scheme's stores come back from their snapshots; encrypted
+  // dictionaries serve straight off the mapping (filter trees from heap).
+  uint64_t mapped_total = 0;
+  for (const auto& mem : restarted.store_memory()) {
+    EXPECT_EQ(mem.snapshot_format, 2u) << "store " << mem.store_id;
+    mapped_total += mem.mapped_bytes;
+  }
+  if (scheme_id != SchemeId::kPb) {
+    EXPECT_GT(mapped_total, 0u) << "a restarted store served from heap";
   }
 
   for (uint64_t lo = 0; lo < 32; lo += 5) {
@@ -194,11 +207,9 @@ TEST_P(RestartConformanceTest, RestartedServerAnswersLikeLocal) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EveryScheme, RestartConformanceTest,
-    ::testing::Combine(::testing::ValuesIn(AllServableSchemeIds()),
-                       ::testing::Bool()),
-    RestartParamName);
+INSTANTIATE_TEST_SUITE_P(EveryScheme, RestartConformanceTest,
+                         ::testing::ValuesIn(AllServableSchemeIds()),
+                         RestartParamName);
 
 TEST(RestartUpdateTest, AckedUpdatesSurviveUncleanRestart) {
   // Updates ride the WAL, not the snapshot: an acked batch must be
@@ -282,80 +293,58 @@ TEST(RestartUpdateTest, SnapshotPlusWalComposeAcrossRestart) {
   EXPECT_EQ(Sorted(wire->ids), Sorted(local->ids));
 }
 
-TEST(RestartMmapTest, V1SnapshotMigratesToV2OnFirstMmapBoot) {
-  // A data dir written by a heap-serving generation must keep working
-  // when the operator flips --mmap=on: the first mmap boot heap-loads the
-  // v1 snapshot (replaying its WAL), re-persists it as v2, and the boot
-  // after that maps it.
+TEST(RestartMmapTest, V1SnapshotFailsListenAndStaysUntouched) {
+  // The v1 container (the blobs under one whole-file CRC) is no longer
+  // read. Booting over one must fail loudly, name the file, and leave it
+  // and its WAL exactly as they were, so the operator can still migrate.
   Rng rng(29);
   Dataset data = GenerateUniform(/*n=*/40, /*domain_size=*/32, rng);
   std::unique_ptr<RangeScheme> scheme = Make(SchemeId::kLogarithmicBrc);
   ASSERT_TRUE(scheme->Build(data).ok());
   Result<ServerSetup> setup = scheme->ExportServerSetup();
   ASSERT_TRUE(setup.ok());
+  const Bytes& index = setup->stores[0].index_blob;
+
+  // v1 layout, big-endian: "RSSESNP1", kind, epoch, index_len, gate_len,
+  // the index, the gate (none), then a CRC32C over everything before it.
+  Bytes snapshot;
+  AppendUint64(snapshot, 0x52535345534e5031ull);
+  AppendByte(snapshot, static_cast<uint8_t>(StoreKind::kEmm));
+  AppendUint64(snapshot, /*epoch=*/1);
+  AppendUint64(snapshot, index.size());
+  AppendUint64(snapshot, /*gate_len=*/0);
+  Append(snapshot, index);
+  AppendUint32(snapshot, Crc32c(snapshot.data(), snapshot.size()));
+  server::UpdateRequest update;
+  Label label;
+  label.fill(0x66);
+  update.entries.emplace_back(label, Bytes(40, 0x05));
+  const Bytes payload = update.Encode();
+  Bytes wal;
+  server::StorePersistence::EncodeWalRecord(/*epoch=*/1,
+                                            ConstByteSpan(payload), wal);
 
   TempDir dir;
+  const std::string snap_path = dir.path() + "/store-0.snap";
+  const std::string wal_path = dir.path() + "/store-0.wal";
+  WriteFile(snap_path, snapshot);
+  WriteFile(wal_path, wal);
+
   server::ServerOptions options;
-  options.port = 0;
   options.data_dir = dir.path();
-
-  uint64_t entries_after_update = 0;
-  {
-    options.mmap_stores = 0;  // v1-era generation
-    LoopbackServer loopback(options);
-    server::EmmClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", loopback.port()).ok());
-    ASSERT_TRUE(server::InstallServerSetup(client, *setup).ok());
-    std::vector<std::pair<Label, Bytes>> entries;
-    Label label;
-    label.fill(0x66);
-    entries.emplace_back(label, Bytes(40, 0x05));
-    auto resp = client.Update(entries);
-    ASSERT_TRUE(resp.ok());
-    entries_after_update = resp->entries;
-  }
-
-  options.mmap_stores = 1;
-  {
-    // Migration boot: still answers from heap (the v1 load), but leaves a
-    // v2 snapshot behind — WAL records folded in, WAL truncated.
-    LoopbackServer migrator(options);
-    server::EmmClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", migrator.port()).ok());
-    auto stats = client.Stats();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->entries, entries_after_update);
-    EXPECT_EQ(stats->snapshot_format, 2u);
-  }
-
-  LoopbackServer mapped(options);
-  EXPECT_EQ(mapped.recovery_stats().wal_records_applied, 0u)
-      << "migration must fold the WAL into the v2 snapshot";
-  uint64_t mapped_total = 0;
-  for (const auto& mem : mapped.store_memory()) {
-    mapped_total += mem.mapped_bytes;
-  }
-  EXPECT_GT(mapped_total, 0u);
-  server::EmmClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", mapped.port()).ok());
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->entries, entries_after_update);
-  EXPECT_EQ(stats->snapshot_format, 2u);
-  EXPECT_GT(stats->mapped_bytes, 0u);
-  server::RemoteBackend remote(client);
-  const Range r{2, 27};
-  Result<QueryResult> local = scheme->Query(r);
-  ASSERT_TRUE(local.ok());
-  Result<QueryResult> wire = scheme->QueryVia(remote, r);
-  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-  EXPECT_EQ(Sorted(wire->ids), Sorted(local->ids));
+  server::EmmServer server(options);
+  const Status listened = server.Listen();
+  ASSERT_FALSE(listened.ok());
+  EXPECT_NE(listened.message().find("store-0.snap"), std::string::npos)
+      << listened.ToString();
+  EXPECT_EQ(ReadFile(snap_path), snapshot);
+  EXPECT_EQ(ReadFile(wal_path), wal);
 }
 
 TEST(RestartMmapTest, CleanDrainFoldsMappedDeltasIntoFreshSnapshot) {
-  // mmap serving with live updates: the touched shards ride the WAL until
-  // a *clean* drain folds them back into a v2 snapshot, so the successor
-  // boots O(1) again with zero WAL replay.
+  // Live updates on a mapped store: the touched shards ride the WAL until
+  // a *clean* drain folds them back into a snapshot, so the successor maps
+  // it again with zero WAL replay.
   Rng rng(31);
   Dataset data = GenerateUniform(/*n=*/40, /*domain_size=*/32, rng);
   std::unique_ptr<RangeScheme> scheme = Make(SchemeId::kConstantBrc);
@@ -367,7 +356,6 @@ TEST(RestartMmapTest, CleanDrainFoldsMappedDeltasIntoFreshSnapshot) {
   server::ServerOptions options;
   options.port = 0;
   options.data_dir = dir.path();
-  options.mmap_stores = 1;
 
   uint64_t entries_after_update = 0;
   {

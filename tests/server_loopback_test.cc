@@ -91,13 +91,15 @@ TEST(ServerLoopbackTest, BatchedSearchMatchesPerQueryConstantScheme) {
   scheme.SetShards(4);
   ASSERT_TRUE(scheme.Build(data).ok());
 
-  // Nine overlapping ranges (including an exact duplicate and aligned
-  // subranges), so covers share dyadic nodes across queries.
+  // Ten overlapping ranges (including an exact duplicate, aligned
+  // subranges and one past the domain's end), so covers share dyadic
+  // nodes across queries.
   std::vector<Range> ranges = {
       {0, 1023},    {0, 1023},                     // duplicates: full dedupe
       {0, 511},     {512, 1023},                   // aligned halves of the 1st
       {256, 1279},  {100, 900},  {700, 1500},      // overlapping, unaligned
       {2048, 2048}, {4000, 4095},
+      {4000, 5000},  // past the 4096-value domain: clipped like Query
   };
   ASSERT_GE(ranges.size(), 8u);
 

@@ -196,7 +196,9 @@ TEST(ServerdProcessTest, Sigkill_MidWorkload_RestartRecoversAckedWrites) {
   }
   ASSERT_EQ(acked_entries, 4u);
 
-  Daemon restarted({"--port=0", "--data-dir=" + dir.path(), "--shards=2"});
+  // --mmap=on is still accepted (durable stores are always mapped).
+  Daemon restarted({"--port=0", "--data-dir=" + dir.path(), "--shards=2",
+                    "--mmap=on"});
   const uint16_t new_port = restarted.WaitForPort();
   ASSERT_NE(new_port, 0);
   EXPECT_NE(restarted.banner().find("recovered 1 store(s)"),
@@ -264,8 +266,10 @@ TEST(ServerdProcessTest, MalformedNumericFlagsExitTwoBeforeListening) {
     GTEST_SKIP() << "RSSE_SERVERD_BIN not set (run under ctest)";
   }
   // Unchecked parsing turns "abc" into 0 (backpressure off) and 70001
-  // into port 4465 (wrapped to 16 bits); both are usage errors.
-  for (const char* flag : {"--max-outbound-bytes=abc", "--port=70001"}) {
+  // into port 4465 (wrapped to 16 bits); both are usage errors. So is
+  // --mmap=off: there is no heap-loading mode to fall back to.
+  for (const char* flag :
+       {"--max-outbound-bytes=abc", "--port=70001", "--mmap=off"}) {
     Daemon daemon({"--port=0", flag});
     const std::string out = daemon.ReadStdoutToEnd(/*timeout_ms=*/5000);
     EXPECT_EQ(daemon.WaitExit(), 2) << flag;

@@ -302,7 +302,7 @@ TEST(WalFuzzTest, ByteFlipSweepNeverCrashesAndNeverForgesARecord) {
 TEST(StoreImageFuzzTest, TruncationAndFlipSweepRejectsCleanly) {
   const ShardedEmm emm = MakeStore();
   const Bytes image = emm.SerializeV2(/*kind=*/0, /*epoch=*/7);
-  ASSERT_TRUE(ShardedEmm::IsV2Image(image));
+  ASSERT_TRUE(ShardedEmm::LoadV2(image, 1).ok());
   const size_t entries = emm.EntryCount();
 
   for (size_t cut = 0; cut < image.size();
@@ -319,9 +319,9 @@ TEST(StoreImageFuzzTest, TruncationAndFlipSweepRejectsCleanly) {
     Bytes mutated = image;
     mutated[at] ^= 0xff;
     // verify_checksums=true must catch every flip the structural checks
-    // miss; without verification a flip inside entry *data* may load (and
-    // that is the contract: deferred-CRC mode trusts content, not
-    // structure) but probing the store must stay in bounds.
+    // miss; without verification a flip inside entry *data* may load (the
+    // lax mode trusts content, not structure — as an image with
+    // recomputed CRCs would be) but probing the store must stay in bounds.
     auto strict = ShardedEmm::LoadV2(mutated, 1, true);
     if (strict.ok()) {
       // Flips in dead bytes (alignment padding) can legitimately pass.
