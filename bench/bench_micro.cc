@@ -17,7 +17,9 @@
 #include "crypto/prg.h"
 #include "crypto/random.h"
 #include "crypto/sha.h"
+#include "data/generators.h"
 #include "dprf/ggm_dprf.h"
+#include "rsse/constant.h"
 #include "rsse/local_backend.h"
 #include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
@@ -387,8 +389,7 @@ void BM_KeywordTokenSearch(benchmark::State& state) {
   shard::ShardOptions options;
   options.shards = 4;
   auto store = shard::ShardedEmm::Build(postings, deriver, options);
-  LocalBackend backend;
-  backend.AddEmmStore(kPrimaryStore, &store.value(), nullptr);
+  LocalBackend backend({StoreRef{kPrimaryStore, StoreKind::kEmm, &*store}});
   TokenSet tokens;
   for (int64_t w = 0; w < state.range(0); ++w) {
     Bytes keyword;
@@ -403,6 +404,35 @@ void BM_KeywordTokenSearch(benchmark::State& state) {
                           kPerKeyword);
 }
 BENCHMARK(BM_KeywordTokenSearch)->Arg(16)->Arg(256);
+
+void BM_LeafResolve(benchmark::State& state, crypto::GgmPrg::Backend prg) {
+  // Server-side GGM resolve path: one level-8 token (256 leaves, the range
+  // width of servebench's const_leaf) through the in-process backend
+  // against a 4-shard Constant-BRC store at const_leaf's density (about
+  // one record per value, so many leaves are empty). Per leaf: the GGM
+  // expansion, the key derivation, the counter probe and the decryption
+  // of its entries. items/s counts leaves.
+  const auto prior = crypto::GgmPrg::backend();
+  crypto::GgmPrg::SetBackend(prg);
+  constexpr uint64_t kDomain = uint64_t{1} << 12;
+  Rng rng(1);
+  ConstantScheme scheme(CoverTechnique::kBrc, /*rng_seed=*/1);
+  scheme.SetShards(4);
+  if (!scheme.Build(GenerateUniform(kDomain * 61 / 64, kDomain, rng)).ok()) {
+    state.SkipWithError("Constant-BRC build failed");
+  }
+  TokenSet tokens;
+  tokens.ggm = scheme.Delegate(Range{256, 511});
+  LocalBackend backend(scheme.stores());
+  for (auto _ : state) {
+    auto resolved = backend.Resolve(tokens);
+    benchmark::DoNotOptimize(resolved);
+  }
+  crypto::GgmPrg::SetBackend(prior);
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK_CAPTURE(BM_LeafResolve, hmac, crypto::GgmPrg::Backend::kHmac);
+BENCHMARK_CAPTURE(BM_LeafResolve, aes, crypto::GgmPrg::Backend::kAes);
 
 }  // namespace
 }  // namespace rsse

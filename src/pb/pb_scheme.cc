@@ -75,22 +75,6 @@ Result<rsse::TokenSet> PbScheme::Trapdoor(const Range& r) {
   return tokens;
 }
 
-SearchBackend& PbScheme::local_backend() {
-  backend_.Clear();
-  backend_.AddFilterTreeStore(rsse::kPrimaryStore, &tree_);
-  return backend_;
-}
-
-Result<ServerSetup> PbScheme::ExportServerSetup() const {
-  if (!built_) return Status::FailedPrecondition("Build() not called");
-  ServerSetup setup;
-  setup.stores.push_back(StoreSetup{rsse::kPrimaryStore,
-                                    StoreKind::kFilterTree,
-                                    tree_.Serialize(),
-                                    {}});
-  return setup;
-}
-
 std::unique_ptr<RangeScheme> MakePbScheme(uint64_t rng_seed, double fp_rate) {
   return std::make_unique<PbScheme>(rng_seed, fp_rate);
 }

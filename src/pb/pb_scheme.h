@@ -47,8 +47,9 @@ class PbScheme : public RangeScheme, public TrapdoorGenerator {
   /// Owner half: one keyed trapdoor per minimal dyadic range.
   Result<rsse::TokenSet> Trapdoor(const Range& r) override;
   TrapdoorGenerator& trapdoors() override { return *this; }
-  SearchBackend& local_backend() override;
-  Result<ServerSetup> ExportServerSetup() const override;
+  std::vector<StoreRef> stores() const override {
+    return {{kPrimaryStore, StoreKind::kFilterTree, nullptr, nullptr, &tree_}};
+  }
 
  private:
   /// The keyed trapdoor for one dyadic-range element.
@@ -65,7 +66,6 @@ class PbScheme : public RangeScheme, public TrapdoorGenerator {
   int bits_ = 0;
   std::unique_ptr<crypto::Prf> trapdoor_prf_;
   FilterTreeIndex tree_;
-  LocalBackend backend_;
 };
 
 /// Factory mirroring rsse::MakeScheme for the baseline.

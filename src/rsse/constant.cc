@@ -97,13 +97,4 @@ Result<TokenSet> ConstantScheme::Trapdoor(const Range& r) {
   return tokens;
 }
 
-SearchBackend& ConstantScheme::local_backend() {
-  return ConfigureSingleEmmBackend(backend_, index_, nullptr,
-                                   search_threads_);
-}
-
-Result<ServerSetup> ConstantScheme::ExportServerSetup() const {
-  return SingleEmmServerSetup(built_, index_);
-}
-
 }  // namespace rsse

@@ -62,17 +62,13 @@ class ConstantScheme : public RangeScheme, public TrapdoorGenerator {
   /// the intersection guard, when enabled, before any token leaves).
   Result<TokenSet> Trapdoor(const Range& r) override;
   TrapdoorGenerator& trapdoors() override { return *this; }
-  SearchBackend& local_backend() override;
-  Result<ServerSetup> ExportServerSetup() const override;
+  std::vector<StoreRef> stores() const override {
+    return {{kPrimaryStore, StoreKind::kEmm, &index_}};
+  }
 
   /// Enforce the paper's non-intersecting-query constraint: a query that
   /// intersects any previously issued one fails with FAILED_PRECONDITION.
   void EnableIntersectionGuard() { guard_enabled_ = true; }
-
-  /// Worker threads for the server-side multi-token search (each covering
-  /// node expands and probes independently). 0 reads the
-  /// RSSE_SEARCH_THREADS environment variable, defaulting to 1.
-  void SetSearchThreads(int threads) { search_threads_ = threads; }
 
   /// Shard count for the server-side encrypted dictionary. 0 reads the
   /// RSSE_SHARDS environment variable, defaulting to 1. Must be set before
@@ -93,9 +89,7 @@ class ConstantScheme : public RangeScheme, public TrapdoorGenerator {
   int bits_ = 0;
   std::unique_ptr<GgmDprf> dprf_;
   shard::ShardedEmm index_;
-  LocalBackend backend_;
   bool guard_enabled_ = false;
-  int search_threads_ = 0;
   int shards_ = 0;
   std::vector<Range> history_;
 };

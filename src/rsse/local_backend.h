@@ -1,6 +1,7 @@
 #ifndef RSSE_RSSE_LOCAL_BACKEND_H_
 #define RSSE_RSSE_LOCAL_BACKEND_H_
 
+#include <utility>
 #include <vector>
 
 #include "pb/filter_tree.h"
@@ -12,73 +13,101 @@ namespace rsse {
 
 class BloomLabelGate;
 
-/// In-process `SearchBackend`: the paper's simulated server, resolving
-/// token sets directly against the scheme's own stores. Schemes register
-/// their store(s) per slot; `Resolve` then mirrors exactly what a remote
-/// `rsse_serverd` does for the same TokenSet — expand GGM subtrees and
-/// probe the dictionary (strided across `search_threads` workers), run the
-/// counter-probe search per keyword token through the store's
-/// pre-decryption gate, or descend the PB filter tree for opaque
-/// trapdoors.
-///
-/// Thread-compatibility: registration (`Clear`/`Add*Store`/
-/// `SetSearchThreads`) and `Resolve` must be externally serialized — this
-/// class holds no lock of its own. The only internal concurrency is
-/// Resolve's fork/join over `RunWorkers`, which needs none: worker `t`
-/// writes only the strided slots `per_token[t], per_token[t + threads],
-/// ...` and its own `per_worker[t]` scratch (disjoint by construction,
-/// published by RunWorkers' join), and reads the registered stores purely
-/// through their const search paths.
+/// One hosted store as the server half sees it: the slot it answers at,
+/// how it reads tokens, and what answers them — an encrypted dictionary
+/// (`emm`, with an optional Bloom pre-decryption `gate`) or the PB filter
+/// tree (`tree`). A scheme lists its stores once (`RangeScheme::stores`);
+/// `ExportServerSetup` ships that list and `Query` resolves against it,
+/// and `rsse_serverd` hands out the same view of every slot it hosts. The
+/// pointers do not own. `StoreRef{slot}` stands for a slot nothing is
+/// hosted at.
+struct StoreRef {
+  uint32_t slot = kPrimaryStore;
+  StoreKind kind = StoreKind::kEmm;
+  const shard::ShardedEmm* emm = nullptr;
+  const BloomLabelGate* gate = nullptr;
+  const pb::FilterTreeIndex* tree = nullptr;
+
+  bool hosted() const { return emm != nullptr || tree != nullptr; }
+
+  /// The SetupStore form of this store: slot, kind, index and gate blobs.
+  StoreSetup Serialize() const;
+};
+
+/// The token families of a `TokenSet`, one per kind of work unit.
+enum class TokenFamily : uint8_t { kGgm, kKeyword, kOpaque };
+
+/// GGM subtree tokens address the primary slot only: the wire's
+/// SearchBatch frame names no slot. Returns that refusal for any other
+/// slot; `CheckServes` runs it first, and `RemoteBackend` runs it before
+/// sending anything.
+Status CheckGgmSlot(uint32_t slot);
+
+/// Decides whether `store` serves tokens of `family`: nothing at an
+/// unhosted slot, GGM and keyword tokens at an encrypted dictionary,
+/// opaque trapdoors at a filter tree. Every refusal is worded here once,
+/// so an in-process query and a served one fail alike.
+Status CheckServes(const StoreRef& store, TokenFamily family);
+
+/// What resolution adds up across units (`SearchDone` reports the gate
+/// skips and the leaves).
+struct ResolveStats {
+  /// Dictionary probes, decryptions and gate skips.
+  sse::SearchStats search;
+  /// GGM leaves expanded and searched.
+  uint64_t leaves_searched = 0;
+};
+
+/// Buffers reused across units: a subtree's leaf seeds and one leaf's
+/// derived key pair.
+struct ResolveScratch {
+  std::vector<Label> leaves;
+  sse::KeywordKeys leaf_keys;
+};
+
+/// One unit of the server's work; exactly one member is set.
+struct WorkUnit {
+  /// A GGM subtree token: each leaf seed is one domain value's keyword.
+  const GgmDprf::Token* ggm = nullptr;
+  /// One keyword token.
+  const sse::KeywordKeys* keyword = nullptr;
+  /// One query's PB trapdoors: one filter-tree descent.
+  const std::vector<Bytes>* trapdoors = nullptr;
+};
+
+/// The server's Search, the one routine both `LocalBackend` and
+/// `rsse_serverd` resolve every token through. Runs `unit` against
+/// `store`, which must serve its family (`CheckServes`), and appends the
+/// decrypted payloads to `sink` in server order:
+///  - a GGM token expands into its leaves; each leaf seed derives its
+///    value's key pair, which counter-probes the dictionary through the
+///    store's gate (a token whose level does not expand yields nothing);
+///  - a keyword token is one such counter-probe search;
+///  - PB trapdoors descend the filter tree, and each reached leaf's id is
+///    appended as an id payload.
+/// Probe, decrypt and skip counts and the leaves searched add up in
+/// `stats`.
+void ResolveUnit(const StoreRef& store, const WorkUnit& unit,
+                 ResolveScratch& scratch, std::vector<Bytes>& sink,
+                 ResolveStats& stats);
+
+/// In-process `SearchBackend` over a scheme's stores: the paper's
+/// simulated server. `Resolve` checks every family a token set carries
+/// with `CheckServes`, then runs `ResolveUnit` over its units in order on
+/// the calling thread — GGM tokens, keyword tokens, then the opaque
+/// trapdoors as one unit. The stores must outlive the backend; it holds
+/// no lock, so concurrent `Resolve` calls need the stores' const search
+/// paths only.
 class LocalBackend : public SearchBackend {
  public:
-  LocalBackend() = default;
-
-  /// Drops all registered stores (schemes re-register before each query,
-  /// so a moved scheme never serves stale store pointers).
-  void Clear() { slots_.clear(); }
-
-  /// Registers an encrypted-dictionary store at `store`. `gate` may be
-  /// null; when set, it is consulted before every candidate decryption.
-  void AddEmmStore(uint32_t store, const shard::ShardedEmm* emm,
-                   const sse::LabelGate* gate);
-
-  /// Registers a PB filter-tree store at `store`.
-  void AddFilterTreeStore(uint32_t store, const pb::FilterTreeIndex* tree);
-
-  /// Worker threads for multi-token GGM resolution (0 reads
-  /// RSSE_SEARCH_THREADS, defaulting to 1).
-  void SetSearchThreads(int threads) { search_threads_ = threads; }
+  explicit LocalBackend(std::vector<StoreRef> stores)
+      : stores_(std::move(stores)) {}
 
   Result<ResolvedIds> Resolve(const TokenSet& tokens) override;
 
  private:
-  struct Slot {
-    uint32_t store = kPrimaryStore;
-    const shard::ShardedEmm* emm = nullptr;
-    const sse::LabelGate* gate = nullptr;
-    const pb::FilterTreeIndex* tree = nullptr;
-  };
-
-  const Slot* FindSlot(uint32_t store) const;
-
-  std::vector<Slot> slots_;
-  int search_threads_ = 0;
+  std::vector<StoreRef> stores_;
 };
-
-/// Boilerplate shared by the single-dictionary schemes (Constant,
-/// Logarithmic, SRC, Quadratic, Naive): re-registers the scheme's one
-/// store at the primary slot and returns the backend.
-SearchBackend& ConfigureSingleEmmBackend(LocalBackend& backend,
-                                         const shard::ShardedEmm& emm,
-                                         const sse::LabelGate* gate = nullptr,
-                                         int search_threads = 0);
-
-/// The matching `ExportServerSetup` body: one primary-slot EMM store,
-/// with the gate blob riding along when a gate is installed.
-/// FAILED_PRECONDITION when `built` is false.
-Result<ServerSetup> SingleEmmServerSetup(bool built,
-                                         const shard::ShardedEmm& emm,
-                                         const BloomLabelGate* gate = nullptr);
 
 /// Loads a shipped encrypted-dictionary blob (`ShardedEmm::Serialize`
 /// output, as `ExportServerSetup` ships it) with its stored shard layout,

@@ -55,12 +55,4 @@ Result<TokenSet> LogarithmicSrcScheme::Trapdoor(const Range& r) {
   return tokens;
 }
 
-SearchBackend& LogarithmicSrcScheme::local_backend() {
-  return ConfigureSingleEmmBackend(backend_, index_, gate_.get());
-}
-
-Result<ServerSetup> LogarithmicSrcScheme::ExportServerSetup() const {
-  return SingleEmmServerSetup(built_, index_, gate_.get());
-}
-
 }  // namespace rsse

@@ -37,8 +37,9 @@ class LogarithmicSrcScheme : public RangeScheme, public TrapdoorGenerator {
   /// Owner half: the single-keyword SRC token.
   Result<TokenSet> Trapdoor(const Range& r) override;
   TrapdoorGenerator& trapdoors() override { return *this; }
-  SearchBackend& local_backend() override;
-  Result<ServerSetup> ExportServerSetup() const override;
+  std::vector<StoreRef> stores() const override {
+    return {{kPrimaryStore, StoreKind::kEmm, &index_, gate_.get()}};
+  }
 
   /// The single TDAG cover node for `r` (exposed for tests).
   TdagNode CoverNode(const Range& r) const { return tdag_->SingleRangeCover(r); }
@@ -64,7 +65,6 @@ class LogarithmicSrcScheme : public RangeScheme, public TrapdoorGenerator {
   std::unique_ptr<Tdag> tdag_;
   Bytes master_key_;
   shard::ShardedEmm index_;
-  LocalBackend backend_;
   double bloom_fp_rate_ = 0.0;  // 0 disables the gate
   std::unique_ptr<BloomLabelGate> gate_;
 };

@@ -170,29 +170,4 @@ Result<std::optional<TokenSet>> LogarithmicSrcIScheme::ContinueTrapdoor(
   return std::optional<TokenSet>(std::move(tokens));
 }
 
-SearchBackend& LogarithmicSrcIScheme::local_backend() {
-  backend_.Clear();
-  backend_.AddEmmStore(kPrimaryStore, &i1_, gate1_.get());
-  backend_.AddEmmStore(kSecondaryStore, &i2_, gate2_.get());
-  return backend_;
-}
-
-Result<ServerSetup> LogarithmicSrcIScheme::ExportServerSetup() const {
-  if (!built_) return Status::FailedPrecondition("Build() not called");
-  ServerSetup setup;
-  StoreSetup s1;
-  s1.store = kPrimaryStore;
-  s1.kind = StoreKind::kEmm;
-  s1.index_blob = i1_.Serialize();
-  if (gate1_ != nullptr) s1.gate_blob = gate1_->Serialize();
-  setup.stores.push_back(std::move(s1));
-  StoreSetup s2;
-  s2.store = kSecondaryStore;
-  s2.kind = StoreKind::kEmm;
-  s2.index_blob = i2_.Serialize();
-  if (gate2_ != nullptr) s2.gate_blob = gate2_->Serialize();
-  setup.stores.push_back(std::move(s2));
-  return setup;
-}
-
 }  // namespace rsse

@@ -54,8 +54,10 @@ class LogarithmicSrcIScheme : public RangeScheme, public TrapdoorGenerator {
       const Range& r, int completed_rounds, const ResolvedIds& prev) override;
 
   TrapdoorGenerator& trapdoors() override { return *this; }
-  SearchBackend& local_backend() override;
-  Result<ServerSetup> ExportServerSetup() const override;
+  std::vector<StoreRef> stores() const override {
+    return {{kPrimaryStore, StoreKind::kEmm, &i1_, gate1_.get()},
+            {kSecondaryStore, StoreKind::kEmm, &i2_, gate2_.get()}};
+  }
 
   /// Size of the auxiliary index I1 alone; its dependence on the number of
   /// distinct values explains the Gowalla-vs-USPS gap in Fig. 5 / Table 2.
@@ -84,7 +86,6 @@ class LogarithmicSrcIScheme : public RangeScheme, public TrapdoorGenerator {
   Bytes key2_;
   shard::ShardedEmm i1_;
   shard::ShardedEmm i2_;
-  LocalBackend backend_;
   double bloom_fp_rate_ = 0.0;  // 0 disables the gates
   std::unique_ptr<BloomLabelGate> gate1_;
   std::unique_ptr<BloomLabelGate> gate2_;

@@ -51,12 +51,4 @@ Result<TokenSet> LogarithmicScheme::Trapdoor(const Range& r) {
   return tokens;
 }
 
-SearchBackend& LogarithmicScheme::local_backend() {
-  return ConfigureSingleEmmBackend(backend_, index_);
-}
-
-Result<ServerSetup> LogarithmicScheme::ExportServerSetup() const {
-  return SingleEmmServerSetup(built_, index_);
-}
-
 }  // namespace rsse

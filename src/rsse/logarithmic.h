@@ -35,8 +35,9 @@ class LogarithmicScheme : public RangeScheme, public TrapdoorGenerator {
   /// leaving.
   Result<TokenSet> Trapdoor(const Range& r) override;
   TrapdoorGenerator& trapdoors() override { return *this; }
-  SearchBackend& local_backend() override;
-  Result<ServerSetup> ExportServerSetup() const override;
+  std::vector<StoreRef> stores() const override {
+    return {{kPrimaryStore, StoreKind::kEmm, &index_}};
+  }
 
   /// The cover this scheme would use for `r` (exposed for leakage tests).
   std::vector<DyadicNode> Cover(const Range& r) const;
@@ -47,7 +48,6 @@ class LogarithmicScheme : public RangeScheme, public TrapdoorGenerator {
   int bits_ = 0;
   Bytes master_key_;
   shard::ShardedEmm index_;
-  LocalBackend backend_;
 };
 
 }  // namespace rsse

@@ -48,12 +48,4 @@ Result<TokenSet> NaiveValueScheme::Trapdoor(const Range& r) {
   return tokens;
 }
 
-SearchBackend& NaiveValueScheme::local_backend() {
-  return ConfigureSingleEmmBackend(backend_, index_);
-}
-
-Result<ServerSetup> NaiveValueScheme::ExportServerSetup() const {
-  return SingleEmmServerSetup(built_, index_);
-}
-
 }  // namespace rsse

@@ -27,14 +27,14 @@ class NaiveValueScheme : public RangeScheme, public TrapdoorGenerator {
   /// Owner half: one token per covered value — the O(R) query size.
   Result<TokenSet> Trapdoor(const Range& r) override;
   TrapdoorGenerator& trapdoors() override { return *this; }
-  SearchBackend& local_backend() override;
-  Result<ServerSetup> ExportServerSetup() const override;
+  std::vector<StoreRef> stores() const override {
+    return {{kPrimaryStore, StoreKind::kEmm, &index_}};
+  }
 
  private:
   Rng rng_;
   Bytes master_key_;
   shard::ShardedEmm index_;
-  LocalBackend backend_;
 };
 
 }  // namespace rsse

@@ -16,8 +16,9 @@ namespace rsse {
 /// The two-party protocol boundary of the paper's constructions, made
 /// explicit: the data owner runs a `TrapdoorGenerator` (Trpdr), the server
 /// runs a `SearchBackend` (Search). `RangeScheme::Query` composes the two;
-/// substituting a `server::RemoteBackend` for the scheme's `LocalBackend`
-/// runs the identical protocol against a standalone `rsse_serverd`.
+/// substituting a `server::RemoteBackend` for the `LocalBackend` over the
+/// scheme's stores runs the identical protocol against a standalone
+/// `rsse_serverd`.
 
 /// Server-side store slots. Single-index schemes keep everything at the
 /// primary slot; Logarithmic-SRC-i hosts I1 at the primary slot and I2 at
@@ -75,9 +76,10 @@ struct ResolvedIds {
 };
 
 /// Server half: resolves one TokenSet against the hosted store(s).
-/// Implementations: `LocalBackend` (in-process stores, the paper's
-/// simulated server) and `server::RemoteBackend` (a real `rsse_serverd`
-/// over the wire protocol).
+/// Implementations: `LocalBackend` (a scheme's stores in process, the
+/// paper's simulated server) and `server::RemoteBackend` (a real
+/// `rsse_serverd` over the wire protocol); both sides run the one
+/// resolver of local_backend.h.
 class SearchBackend {
  public:
   virtual ~SearchBackend() = default;

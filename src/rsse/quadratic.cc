@@ -57,12 +57,4 @@ Result<TokenSet> QuadraticScheme::Trapdoor(const Range& r) {
   return tokens;
 }
 
-SearchBackend& QuadraticScheme::local_backend() {
-  return ConfigureSingleEmmBackend(backend_, index_);
-}
-
-Result<ServerSetup> QuadraticScheme::ExportServerSetup() const {
-  return SingleEmmServerSetup(built_, index_);
-}
-
 }  // namespace rsse

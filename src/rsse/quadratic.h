@@ -38,8 +38,9 @@ class QuadraticScheme : public RangeScheme, public TrapdoorGenerator {
   /// Owner half: the query range itself is the single keyword.
   Result<TokenSet> Trapdoor(const Range& r) override;
   TrapdoorGenerator& trapdoors() override { return *this; }
-  SearchBackend& local_backend() override;
-  Result<ServerSetup> ExportServerSetup() const override;
+  std::vector<StoreRef> stores() const override {
+    return {{kPrimaryStore, StoreKind::kEmm, &index_}};
+  }
 
  private:
   static Bytes RangeKeyword(const Range& r);
@@ -48,7 +49,6 @@ class QuadraticScheme : public RangeScheme, public TrapdoorGenerator {
   uint64_t pad_quantum_;
   Bytes master_key_;
   shard::ShardedEmm index_;
-  LocalBackend backend_;
 };
 
 }  // namespace rsse

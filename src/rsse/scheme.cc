@@ -35,12 +35,17 @@ const char* SchemeName(SchemeId id) {
 }
 
 Result<ServerSetup> RangeScheme::ExportServerSetup() const {
-  return Status::Unimplemented(std::string(SchemeName(id())) +
-                               " is local-only (no shippable server half)");
+  if (!built_) return Status::FailedPrecondition("Build() not called");
+  ServerSetup setup;
+  for (const StoreRef& store : stores()) {
+    setup.stores.push_back(store.Serialize());
+  }
+  return setup;
 }
 
 Result<QueryResult> RangeScheme::Query(const Range& r) {
-  return QueryVia(local_backend(), r);
+  LocalBackend backend(stores());
+  return QueryVia(backend, r);
 }
 
 Result<QueryResult> RangeScheme::QueryVia(SearchBackend& backend,

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "data/dataset.h"
+#include "rsse/local_backend.h"
 #include "rsse/party.h"
 
 namespace rsse {
@@ -61,15 +62,16 @@ struct QueryResult {
 /// Uniform facade over all RSSE constructions, split along the paper's
 /// two-party protocol boundary: the owner half is the scheme's
 /// `TrapdoorGenerator` (trapdoor generation and, for SRC-i, the round-2
-/// refinement), the server half is a `SearchBackend` resolving token sets
-/// against the hosted stores. `Build` runs the owner's Setup+BuildIndex
-/// and installs the encrypted index at the in-process `local_backend()`;
-/// `Query` composes trapdoor -> backend resolve -> owner post-filter and
-/// reports per-party costs. `QueryVia` runs the identical protocol over
-/// any other backend — in particular a `server::RemoteBackend` speaking to
-/// a standalone `rsse_serverd` hosting this scheme's
-/// `ExportServerSetup()` blobs. Concrete classes expose additional
-/// scheme-specific surface (e.g. leakage accessors) for tests.
+/// refinement), the server half is the list of stores `Build` produces
+/// (`stores()`), which a `SearchBackend` resolves token sets against.
+/// From that one list the base class derives both server halves: `Query`
+/// runs trapdoor -> resolve -> owner post-filter against a `LocalBackend`
+/// over it and reports per-party costs, and `ExportServerSetup()`
+/// serializes it for a standalone `rsse_serverd`. `QueryVia` runs the
+/// identical protocol over any other backend — in particular a
+/// `server::RemoteBackend` speaking to that server. Concrete classes
+/// expose additional scheme-specific surface (e.g. leakage accessors) for
+/// tests.
 class RangeScheme {
  public:
   virtual ~RangeScheme() = default;
@@ -86,14 +88,14 @@ class RangeScheme {
   /// The owner half of the protocol (valid after `Build`).
   virtual TrapdoorGenerator& trapdoors() = 0;
 
-  /// The in-process server half over this scheme's own stores (valid
-  /// after `Build`).
-  virtual SearchBackend& local_backend() = 0;
+  /// The server half: every store this scheme hosts, one per slot
+  /// (valid after `Build`).
+  virtual std::vector<StoreRef> stores() const = 0;
 
-  /// Serialized server-side state (index blobs, pre-decryption gates) for
-  /// hosting this scheme on a standalone server. Schemes without a
-  /// shippable server half stay local-only and return UNIMPLEMENTED.
-  virtual Result<ServerSetup> ExportServerSetup() const;
+  /// Serialized server-side state for hosting this scheme on a standalone
+  /// server: `stores()` in the SetupStore form (index blobs, pre-decryption
+  /// gates). FAILED_PRECONDITION before `Build`.
+  Result<ServerSetup> ExportServerSetup() const;
 
   /// Executes the query protocol for range `r` (clipped to the domain)
   /// against the in-process backend.

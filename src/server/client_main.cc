@@ -9,9 +9,10 @@
 //   rsse_client --port=7370 --n=20000 --domain=65536
 //               --ranges=100:900,500:1500,500:1500 --verify=1
 //
-// Flags (numeric values, range bounds included, must parse in full and
-// fit their field, and each range needs lo <= hi < domain; anything else
-// exits 2):
+// Flags (an argument that is not --help or one of these flags as
+// --name=value exits 2, as do a numeric value, range bounds included, that
+// does not parse in full and fit its field, a range without
+// lo <= hi < domain, and a --technique other than brc or urc):
 //   --host=<ipv4>        server address          (default 127.0.0.1)
 //   --port=<port>        server port             (default 7370)
 //   --n=<tuples>         synthetic dataset size  (default 10000)
@@ -41,6 +42,7 @@
 
 namespace {
 
+using rsse::server::ChoiceFlag;
 using rsse::server::FlagValue;
 using rsse::server::NumericFlag;
 using rsse::server::ParseNumber;
@@ -78,6 +80,9 @@ std::vector<rsse::Range> ParseRanges(const char* spec, uint64_t domain) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  rsse::server::RejectUnknownFlags(argc, argv,
+                                   {"host", "port", "n", "domain", "seed",
+                                    "technique", "shards", "ranges", "verify"});
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
@@ -85,8 +90,9 @@ int main(int argc, char** argv) {
           "  --host=<ipv4> --port=<port> --n=<tuples> --domain=<size>\n"
           "  --seed=<n> --technique=brc|urc --shards=<n>\n"
           "  --ranges=lo:hi,lo:hi,... --verify=0|1\n"
-          "Numeric values must parse in full and fit their field, and each "
-          "range needs lo <= hi < domain; anything else exits 2.\n");
+          "Any other argument, a numeric value that does not parse in full "
+          "and fit its field, a range without lo <= hi < domain and any "
+          "other technique exit 2.\n");
       return 0;
     }
   }
@@ -105,8 +111,8 @@ int main(int argc, char** argv) {
   NumericFlag(argc, argv, "seed", seed);
   NumericFlag(argc, argv, "shards", shards);
   NumericFlag(argc, argv, "verify", verify);
-  const bool urc = FlagValue(argc, argv, "technique") != nullptr &&
-                   std::strcmp(FlagValue(argc, argv, "technique"), "urc") == 0;
+  const char* technique = ChoiceFlag(argc, argv, "technique", {"brc", "urc"});
+  const bool urc = technique != nullptr && std::strcmp(technique, "urc") == 0;
 
   std::vector<rsse::Range> ranges;
   if (const char* spec = FlagValue(argc, argv, "ranges")) {

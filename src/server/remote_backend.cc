@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "rsse/local_backend.h"
 #include "sse/encrypted_multimap.h"
 
 namespace rsse::server {
@@ -10,13 +11,10 @@ Result<rsse::ResolvedIds> RemoteBackend::Resolve(
     const rsse::TokenSet& tokens) {
   rsse::ResolvedIds out;
 
-  // GGM subtree tokens: the batched SearchBatch path (primary store only —
-  // the wire dedupe/expansion pipeline is bound to the main dictionary).
+  // GGM subtree tokens: the batched SearchBatch path, whose frame names no
+  // slot (the server expands them against the primary store).
   if (!tokens.ggm.empty()) {
-    if (tokens.store != rsse::kPrimaryStore) {
-      return Status::InvalidArgument(
-          "GGM tokens resolve against the primary store only");
-    }
+    RSSE_RETURN_IF_ERROR(rsse::CheckGgmSlot(tokens.store));
     EmmClient::BatchQuery query;
     query.query_id = 0;
     query.tokens = tokens.ggm;

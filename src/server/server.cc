@@ -19,7 +19,6 @@
 #include <utility>
 
 #include "common/crc32c.h"
-#include "common/env.h"
 #include "common/mapped_file.h"
 #include "common/stats.h"
 #include "dprf/ggm_dprf.h"
@@ -396,6 +395,11 @@ void EmmServer::FoldDirtyStores() {
   dirty_stores_.clear();
 }
 
+rsse::StoreRef EmmServer::FindStore(uint32_t slot) const {
+  const auto it = stores_.find(slot);
+  return it == stores_.end() ? rsse::StoreRef{slot} : it->second.Ref(slot);
+}
+
 uint8_t EmmServer::SnapshotGeneration(uint32_t store_id) const {
   const auto it = store_epochs_.find(store_id);
   return it != store_epochs_.end() && it->second > 0 ? 2 : 0;
@@ -621,13 +625,8 @@ void EmmServer::EnqueueJob(const std::shared_ptr<Connection>& cp,
 // order, search jobs parked and resumed across backpressure.
 // ---------------------------------------------------------------------------
 
-int EmmServer::ResolveWorkerCount() const {
-  if (options_.search_workers > 0) return options_.search_workers;
-  return ResolveThreadCount(options_.search_threads, "RSSE_SEARCH_THREADS");
-}
-
 void EmmServer::StartWorkers() {
-  const int count = std::max(ResolveWorkerCount(), 1);
+  const int count = std::max(options_.search_workers, 1);
   {
     MutexLock lock(work_mu_);
     workers_stop_ = false;
@@ -843,10 +842,8 @@ void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
   incoming.kind = static_cast<rsse::StoreKind>(req->kind);
   SetupResponse resp;
   if (req->kind == static_cast<uint8_t>(rsse::StoreKind::kEmm)) {
-    const int threads =
-        ResolveThreadCount(options_.search_threads, "RSSE_SEARCH_THREADS");
     Result<shard::ShardedEmm> store =
-        shard::ShardedEmm::Deserialize(req->index_blob, threads);
+        shard::ShardedEmm::Deserialize(req->index_blob);
     if (!store.ok()) {
       EmitError(conn, store.status().message());
       return;
@@ -1006,7 +1003,6 @@ EmmServer::JobResult EmmServer::StartSearchBatch(Connection& conn, Job& job) {
   auto stream = std::make_unique<ResultStream>();
   ResultStream& s = *stream;
   s.payload_mode = false;
-  s.producer = ResultStream::Producer::kGgm;
   const size_t nq = req->queries.size();
   s.query_ids.resize(nq);
   s.ids.resize(nq);
@@ -1068,68 +1064,66 @@ EmmServer::JobResult EmmServer::StartSearchKeyword(Connection& conn,
     EmitError(conn, "keyword token batch exceeds the server's limit");
     return JobResult::kDone;
   }
-  // The slot's kind decides which work units to build; the store itself
-  // is re-resolved under the lock each run segment.
-  rsse::StoreKind kind;
+  // The slot's kind decides which work units to build, and every token
+  // must be of a family the slot serves; the store itself is re-resolved
+  // under the lock each run segment.
+  rsse::TokenFamily family;
   {
     ReaderMutexLock lock(store_mutex_);
     if (!hosted_) {
       EmitError(conn, "no index hosted (send SetupStore first)");
       return JobResult::kDone;
     }
-    auto slot = stores_.find(req->store_id);
-    if (slot == stores_.end()) {
-      EmitError(conn, "no store hosted at the requested slot");
+    const rsse::StoreRef store = FindStore(req->store_id);
+    family = store.kind == rsse::StoreKind::kFilterTree
+                 ? rsse::TokenFamily::kOpaque
+                 : rsse::TokenFamily::kKeyword;
+    Status served = rsse::CheckServes(store, family);
+    for (const SearchKeywordRequest::Query& q : req->queries) {
+      for (const WireKeywordToken& t : q.tokens) {
+        if (!served.ok()) break;
+        served = rsse::CheckServes(store, t.kind == 1
+                                              ? rsse::TokenFamily::kOpaque
+                                              : rsse::TokenFamily::kKeyword);
+      }
+    }
+    if (!served.ok()) {
+      EmitError(conn, served.message());
       return JobResult::kDone;
     }
-    kind = slot->second.kind;
   }
   auto stream = std::make_unique<ResultStream>();
   ResultStream& s = *stream;
   s.payload_mode = true;
   s.store_id = req->store_id;
+  s.family = family;
   const size_t nq = req->queries.size();
   s.query_ids.resize(nq);
   s.payloads.resize(nq);
   s.open_parts.assign(nq, 0);
   s.offset.assign(nq, 0);
-  if (kind == rsse::StoreKind::kFilterTree) {
-    s.producer = ResultStream::Producer::kFilterTree;
-    s.trapdoors.resize(nq);
-    for (size_t q = 0; q < nq; ++q) {
-      s.query_ids[q] = req->queries[q].query_id;
-      s.trapdoors[q].reserve(req->queries[q].tokens.size());
-      for (const WireKeywordToken& t : req->queries[q].tokens) {
-        if (t.kind != 1) {
-          EmitError(conn, "filter-tree stores resolve opaque trapdoors only");
-          return JobResult::kDone;
-        }
-        s.trapdoors[q].push_back(t.a);
+  for (size_t q = 0; q < nq; ++q) {
+    s.query_ids[q] = req->queries[q].query_id;
+    if (family == rsse::TokenFamily::kOpaque) {
+      // One tree descent per query, however many trapdoors it carries.
+      std::vector<Bytes>& trapdoors = s.trapdoors.emplace_back();
+      trapdoors.reserve(req->queries[q].tokens.size());
+      for (WireKeywordToken& t : req->queries[q].tokens) {
+        trapdoors.push_back(std::move(t.a));
       }
-      s.open_parts[q] = 1;  // one tree probe per query
+      s.open_parts[q] = 1;
+      continue;
     }
-    s.work_count = nq;
-  } else {
-    s.producer = ResultStream::Producer::kKeyword;
-    s.probes.reserve(static_cast<size_t>(tokens_received));
-    for (size_t q = 0; q < nq; ++q) {
-      s.query_ids[q] = req->queries[q].query_id;
-      for (const WireKeywordToken& t : req->queries[q].tokens) {
-        if (t.kind != 0) {
-          EmitError(conn,
-                    "encrypted dictionaries resolve keyword tokens only");
-          return JobResult::kDone;
-        }
-        ResultStream::KeywordProbe probe;
-        probe.query = static_cast<uint32_t>(q);
-        probe.keys.label_key = t.a;
-        probe.keys.value_key = t.b;
-        s.probes.push_back(std::move(probe));
-        ++s.open_parts[q];
-      }
+    for (WireKeywordToken& t : req->queries[q].tokens) {
+      ResultStream::KeywordProbe& probe = s.probes.emplace_back();
+      probe.query = static_cast<uint32_t>(q);
+      probe.keys.label_key = std::move(t.a);
+      probe.keys.value_key = std::move(t.b);
+      ++s.open_parts[q];
     }
-    s.work_count = s.probes.size();
   }
+  s.work_count =
+      family == rsse::TokenFamily::kOpaque ? nq : s.probes.size();
   s.done.query_count = static_cast<uint32_t>(nq);
   s.done.tokens_received = tokens_received;
   job.payload.clear();
@@ -1147,7 +1141,7 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
   // is that a long-streamed batch may observe a store swap at work-unit
   // granularity.
   ReaderMutexLock lock(store_mutex_);
-  const HostedStore* store = nullptr;
+  rsse::StoreRef store;
   // The first segment validates even when the batch carries no work at
   // all (an empty batch against an unhosted server is still an error);
   // later segments re-resolve only while production remains.
@@ -1156,45 +1150,16 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
       EmitError(conn, "no index hosted (send SetupStore first)");
       return JobResult::kDone;
     }
-    const uint32_t slot_id = s.producer == ResultStream::Producer::kGgm
-                                 ? rsse::kPrimaryStore
-                                 : s.store_id;
-    auto slot = stores_.find(slot_id);
-    switch (s.producer) {
-      case ResultStream::Producer::kGgm:
-        if (slot == stores_.end() ||
-            slot->second.kind != rsse::StoreKind::kEmm) {
-          EmitError(conn, "primary store is not an encrypted dictionary");
-          return JobResult::kDone;
-        }
-        break;
-      case ResultStream::Producer::kKeyword:
-        if (slot == stores_.end()) {
-          EmitError(conn, "no store hosted at the requested slot");
-          return JobResult::kDone;
-        }
-        if (slot->second.kind != rsse::StoreKind::kEmm) {
-          EmitError(conn, "store kind changed during a streamed search");
-          return JobResult::kDone;
-        }
-        break;
-      case ResultStream::Producer::kFilterTree:
-        if (slot == stores_.end()) {
-          EmitError(conn, "no store hosted at the requested slot");
-          return JobResult::kDone;
-        }
-        if (slot->second.kind != rsse::StoreKind::kFilterTree ||
-            slot->second.tree == nullptr) {
-          EmitError(conn, "store kind changed during a streamed search");
-          return JobResult::kDone;
-        }
-        break;
+    store = FindStore(s.store_id);
+    const Status served = rsse::CheckServes(store, s.family);
+    if (!served.ok()) {
+      EmitError(conn, served.message());
+      return JobResult::kDone;
     }
-    store = &slot->second;
   }
   // Scratch reused across this segment's work units.
-  std::vector<Label> leaves;
-  sse::KeywordKeys leaf_keys;
+  rsse::ResolveScratch scratch;
+  std::vector<Bytes> hits;
   for (;;) {
     const EmitResult emit = PumpEmission(conn, s);
     if (emit == EmitResult::kAbort) return JobResult::kDone;
@@ -1217,6 +1182,8 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
           return JobResult::kParked;
         }
       }
+      s.done.leaves_searched = s.resolved.leaves_searched;
+      s.done.skipped_decrypts = s.resolved.search.skipped_decrypts;
       EmitFrame(conn, FrameType::kSearchDone, s.done.Encode(),
                 "search done frame failed to encode");
       stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
@@ -1224,7 +1191,7 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
                                       std::memory_order_relaxed);
       stats_.tokens_received.fetch_add(s.done.tokens_received,
                                        std::memory_order_relaxed);
-      if (s.producer == ResultStream::Producer::kGgm) {
+      if (s.family == rsse::TokenFamily::kGgm) {
         stats_.nodes_deduped.fetch_add(
             s.done.tokens_received - s.done.unique_nodes_expanded,
             std::memory_order_relaxed);
@@ -1238,27 +1205,18 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
       EmitError(conn, "internal: stream stalled with no work left");
       return JobResult::kDone;
     }
-    switch (s.producer) {
-      case ResultStream::Producer::kGgm: {
-        const GgmDprf::Token& token = s.tokens[s.next_work];
+    switch (s.family) {
+      case rsse::TokenFamily::kGgm: {
+        // One subtree, fanned out as ids to every subscribed query.
+        hits.clear();
+        rsse::ResolveUnit(store, {.ggm = &s.tokens[s.next_work]}, scratch,
+                          hits, s.resolved);
         std::vector<uint64_t> unit_ids;
-        sse::SearchStats search_stats;
-        if (GgmDprf::ExpandInto(token, leaves)) {
-          s.done.leaves_searched += leaves.size();
-          for (const Label& leaf : leaves) {
-            sse::KeysFromSharedSecretInto(
-                ConstByteSpan(leaf.data(), leaf.size()), leaf_keys);
-            for (const Bytes& payload_bytes :
-                 store->emm.Search(leaf_keys, store->gate.get(),
-                                   &search_stats)) {
-              if (auto id = sse::DecodeIdPayload(payload_bytes);
-                  id.has_value()) {
-                unit_ids.push_back(*id);
-              }
-            }
+        for (const Bytes& payload : hits) {
+          if (auto id = sse::DecodeIdPayload(payload); id.has_value()) {
+            unit_ids.push_back(*id);
           }
         }
-        s.done.skipped_decrypts += search_stats.skipped_decrypts;
         for (uint32_t qi : s.token_queries[s.next_work]) {
           s.ids[qi].insert(s.ids[qi].end(), unit_ids.begin(),
                            unit_ids.end());
@@ -1266,22 +1224,17 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
         }
         break;
       }
-      case ResultStream::Producer::kKeyword: {
+      case rsse::TokenFamily::kKeyword: {
         const ResultStream::KeywordProbe& probe = s.probes[s.next_work];
-        sse::SearchStats search_stats;
-        std::vector<Bytes> hits =
-            store->emm.Search(probe.keys, store->gate.get(), &search_stats);
-        s.done.skipped_decrypts += search_stats.skipped_decrypts;
-        std::vector<Bytes>& dst = s.payloads[probe.query];
-        for (Bytes& hit : hits) dst.push_back(std::move(hit));
+        rsse::ResolveUnit(store, {.keyword = &probe.keys}, scratch,
+                          s.payloads[probe.query], s.resolved);
         --s.open_parts[probe.query];
         break;
       }
-      case ResultStream::Producer::kFilterTree: {
+      case rsse::TokenFamily::kOpaque: {
         const size_t q = s.next_work;
-        for (uint64_t id : store->tree->Search(s.trapdoors[q])) {
-          s.payloads[q].push_back(sse::EncodeIdPayload(id));
-        }
+        rsse::ResolveUnit(store, {.trapdoors = &s.trapdoors[q]}, scratch,
+                          s.payloads[q], s.resolved);
         s.open_parts[q] = 0;
         break;
       }

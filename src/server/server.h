@@ -17,6 +17,7 @@
 #include "dprf/ggm_dprf.h"
 #include "pb/filter_tree.h"
 #include "rsse/bloom_gate.h"
+#include "rsse/local_backend.h"
 #include "rsse/party.h"
 #include "server/persist.h"
 #include "server/wire.h"
@@ -36,14 +37,10 @@ struct ServerOptions {
   /// 0 reads RSSE_SHARDS, defaulting to 1. (A shipped store blob carries
   /// its own shard count.)
   int shards = 0;
-  /// Worker threads for index load parallelism. 0 reads
-  /// RSSE_SEARCH_THREADS, defaulting to 1. Also the fallback for
-  /// `search_workers` below, so existing deployments keep their pool size.
-  int search_threads = 0;
   /// Size of the persistent search-worker pool that executes every request
-  /// off the poll thread (search batches stream from here). 0 falls back
-  /// to `search_threads` resolution.
-  int search_workers = 0;
+  /// off the poll thread (search batches stream from here); values below 1
+  /// run one worker.
+  int search_workers = 1;
   /// Per-connection outbound high-water mark, in bytes. A worker streaming
   /// result chunks parks its cursor when the connection's unsent output
   /// (staged + poll-side buffer) would cross this mark, and resumes once
@@ -202,28 +199,28 @@ class EmmServer {
   enum class ExecState : uint8_t { kIdle, kQueued, kRunning, kParked };
 
   /// Resumable state of one streamed search response. The producer side
-  /// resolves one work unit at a time (a deduped GGM subtree for
-  /// SearchBatch, one keyword probe or one filter-tree query for
-  /// SearchKeyword) and appends results per subscribed query; the emission
-  /// cursor replays the round-robin chunk schedule — every query one frame
-  /// per round (the first possibly empty), capped chunks alternating —
-  /// stalling back into production when the next query in rotation has
-  /// neither a full chunk nor a complete result, and parking off the
-  /// worker when the connection's outbound queue is over the high-water
-  /// mark.
+  /// resolves one work unit at a time through `rsse::ResolveUnit` (a
+  /// deduped GGM subtree for SearchBatch, one keyword probe or one
+  /// filter-tree query for SearchKeyword) and appends results per
+  /// subscribed query; the emission cursor replays the round-robin chunk
+  /// schedule — every query one frame per round (the first possibly
+  /// empty), capped chunks alternating — stalling back into production
+  /// when the next query in rotation has neither a full chunk nor a
+  /// complete result, and parking off the worker when the connection's
+  /// outbound queue is over the high-water mark.
   struct ResultStream {
     bool payload_mode = false;  // ids (SearchBatch) vs payloads (keyword)
-    uint32_t store_id = 0;      // keyword path: the slot probed
+    uint32_t store_id = rsse::kPrimaryStore;  // the slot probed
     std::vector<uint32_t> query_ids;
     std::vector<std::vector<uint64_t>> ids;
     std::vector<std::vector<Bytes>> payloads;
     /// Per query: work units still unresolved (0 = result complete).
     std::vector<size_t> open_parts;
 
-    enum class Producer : uint8_t { kGgm, kKeyword, kFilterTree };
-    Producer producer = Producer::kGgm;
+    /// The family every work unit carries.
+    rsse::TokenFamily family = rsse::TokenFamily::kGgm;
 
-    // Producer work units (exactly one of the three is populated).
+    // Producer work units (exactly the family's vector is populated).
     std::vector<GgmDprf::Token> tokens;  // SearchBatch: deduped subtrees
     /// Per token: subscribed query indices (with multiplicity, mirroring
     /// the query's token list).
@@ -236,6 +233,8 @@ class EmmServer {
     std::vector<std::vector<Bytes>> trapdoors; // keyword path, filter tree
     size_t next_work = 0;
     size_t work_count = 0;
+    /// What the resolved units added up (gate skips, leaves searched).
+    rsse::ResolveStats resolved;
 
     // Emission cursor.
     size_t round = 0;
@@ -294,6 +293,12 @@ class EmmServer {
     shard::ShardedEmm emm;
     std::unique_ptr<rsse::BloomLabelGate> gate;
     std::unique_ptr<pb::FilterTreeIndex> tree;
+
+    /// The resolver's view of this store when hosted at `slot`.
+    rsse::StoreRef Ref(uint32_t slot) const {
+      return {slot, kind, kind == rsse::StoreKind::kEmm ? &emm : nullptr,
+              gate.get(), tree.get()};
+    }
   };
 
   // --- poll thread ---
@@ -366,7 +371,10 @@ class EmmServer {
   uint8_t SnapshotGeneration(uint32_t store_id) const
       RSSE_REQUIRES_SHARED(store_mutex_);
 
-  int ResolveWorkerCount() const;
+  /// The store hosted at `slot` (`StoreRef{slot}` when none). Its
+  /// pointers stay valid while the store lock is held.
+  rsse::StoreRef FindStore(uint32_t slot) const
+      RSSE_REQUIRES_SHARED(store_mutex_);
 
   ServerOptions options_;
   int listen_fd_ = -1;

@@ -7,20 +7,20 @@
 // included) and serves batched GGM-token and keyword-token searches over
 // the length-prefixed binary protocol of server/wire.h.
 //
-//   rsse_serverd --port=7370 --threads=8
+//   rsse_serverd --port=7370 --search-workers=8
 //   rsse_serverd --port=0              # ephemeral; the bound port is printed
 //   rsse_serverd --data-dir=/var/lib/rsse  # crash-safe store persistence
 //
-// Flags (numeric values must parse in full and fit their field, else the
-// daemon exits 2 before binding):
+// Flags (an argument that is not --help or one of these flags as
+// --name=value, and a numeric value that does not parse in full and fit
+// its field, make the daemon exit 2 before binding):
 //   --bind=<ipv4>      listen address        (default 127.0.0.1)
 //   --port=<port>      TCP port, 0=ephemeral (default 7370)
 //   --shards=<n>       shards for Update-built stores (default RSSE_SHARDS)
-//   --threads=<n>      batch-search workers  (default RSSE_SEARCH_THREADS)
 //   --max-level=<l>    largest GGM subtree per token (default 26)
 //   --max-keyword-tokens=<n>  largest keyword-token batch (default 65536)
-//   --search-workers=<n>  persistent search-worker pool size
-//                      (default: the --threads resolution)
+//   --search-workers=<n>  search-worker pool size: the threads that run
+//                      every request off the poll thread (default 1)
 //   --max-outbound-bytes=<n>  per-connection outbound high-water mark;
 //                      a search job parks when its connection's unsent
 //                      output would cross it, and resumes once the
@@ -51,6 +51,7 @@
 
 namespace {
 
+using rsse::server::ChoiceFlag;
 using rsse::server::FlagValue;
 using rsse::server::NumericFlag;
 
@@ -74,16 +75,20 @@ void HandleSignal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  rsse::server::RejectUnknownFlags(
+      argc, argv,
+      {"bind", "port", "shards", "max-level", "max-keyword-tokens",
+       "search-workers", "max-outbound-bytes", "data-dir",
+       "drain-timeout-ms", "mmap"});
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "rsse_serverd: encrypted-range-search server (all schemes)\n"
-          "  --bind=<ipv4>  --port=<port>  --shards=<n>  --threads=<n>\n"
+          "  --bind=<ipv4>  --port=<port>  --shards=<n>\n"
           "  --max-level=<l>  (largest GGM subtree per token, default 26)\n"
           "  --max-keyword-tokens=<n>  (largest keyword batch, "
           "default 65536)\n"
-          "  --search-workers=<n>  (search-worker pool size, default: "
-          "the --threads resolution)\n"
+          "  --search-workers=<n>  (search-worker pool size, default 1)\n"
           "  --max-outbound-bytes=<n>  (per-connection outbound "
           "high-water mark, 0 = unbounded, default 8 MiB)\n"
           "  --data-dir=<path>  (durable store snapshots + update WAL; "
@@ -92,8 +97,8 @@ int main(int argc, char** argv) {
           "SIGTERM/SIGINT, default 10000)\n"
           "  --mmap=on  (accepted for compatibility; durable stores are "
           "always mapped)\n"
-          "Numeric values must parse in full and fit their field; anything "
-          "else exits 2.\n");
+          "Any other argument, and a numeric value that does not parse in "
+          "full and fit its field, exits 2.\n");
       return 0;
     }
   }
@@ -102,7 +107,6 @@ int main(int argc, char** argv) {
   if (const char* v = FlagValue(argc, argv, "bind")) options.bind_address = v;
   NumericFlag(argc, argv, "port", options.port);
   NumericFlag(argc, argv, "shards", options.shards);
-  NumericFlag(argc, argv, "threads", options.search_threads);
   NumericFlag(argc, argv, "max-level", options.max_token_level);
   NumericFlag(argc, argv, "max-keyword-tokens", options.max_keyword_tokens);
   NumericFlag(argc, argv, "search-workers", options.search_workers);
@@ -111,14 +115,7 @@ int main(int argc, char** argv) {
     options.data_dir = v;
   }
   NumericFlag(argc, argv, "drain-timeout-ms", options.drain_timeout_ms);
-  if (const char* v = FlagValue(argc, argv, "mmap");
-      v != nullptr && std::strcmp(v, "on") != 0) {
-    std::fprintf(stderr,
-                 "rsse_serverd: --mmap accepts only 'on' (got '%s'); durable "
-                 "stores are always served off their mapped snapshots\n",
-                 v);
-    return 2;
-  }
+  ChoiceFlag(argc, argv, "mmap", {"on"});
 
   rsse::server::EmmServer server(options);
   const auto recover_start = std::chrono::steady_clock::now();

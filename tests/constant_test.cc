@@ -76,28 +76,6 @@ INSTANTIATE_TEST_SUITE_P(BothTechniques, ConstantSchemeTest,
                          ::testing::Values(CoverTechnique::kBrc,
                                            CoverTechnique::kUrc));
 
-TEST_P(ConstantSchemeTest, ParallelSearchMatchesSerial) {
-  // Multi-token search shards covering nodes across worker threads; the
-  // returned id multiset must not depend on the thread count.
-  Dataset data = SkewedDataset();
-  ConstantScheme serial(GetParam(), /*rng_seed=*/5);
-  ConstantScheme parallel(GetParam(), /*rng_seed=*/5);
-  ASSERT_TRUE(serial.Build(data).ok());
-  ASSERT_TRUE(parallel.Build(data).ok());
-  serial.SetSearchThreads(1);
-  parallel.SetSearchThreads(4);
-  for (uint64_t lo = 0; lo < 32; lo += 5) {
-    for (uint64_t hi = lo; hi < 32; hi += 4) {
-      Result<QueryResult> a = serial.Query(Range{lo, hi});
-      Result<QueryResult> b = parallel.Query(Range{lo, hi});
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(Sorted(a->ids), Sorted(b->ids))
-          << "range [" << lo << "," << hi << "]";
-    }
-  }
-}
-
 TEST_P(ConstantSchemeTest, AesPrgBackendEndToEnd) {
   // Build + query under the AES-NI GGM backend: exact results, no false
   // positives — the backend only changes the PRG, not the protocol.
@@ -111,6 +89,67 @@ TEST_P(ConstantSchemeTest, AesPrgBackendEndToEnd) {
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(Sorted(r->ids), Sorted(data.IdsInRange(Range{lo, hi})))
           << "range [" << lo << "," << hi << "]";
+    }
+  }
+}
+
+TEST(ConstantSchemeTest, ResolveUnitMatchesPerLeafSearch) {
+  // The shared resolver against a per-leaf oracle: a GGM token resolves to
+  // exactly the concatenation, in leaf order, of one dictionary search per
+  // expanded leaf under that leaf's derived keys, over a 4-shard store and
+  // under both PRG backends.
+  for (crypto::GgmPrg::Backend backend :
+       {crypto::GgmPrg::Backend::kHmac, crypto::GgmPrg::Backend::kAes}) {
+    crypto::PrgBackendGuard guard(backend);
+    // Values 0..511 hold records; 768..1023 hold none.
+    Rng rng(9);
+    std::vector<Record> records;
+    for (uint64_t id = 0; id < 2000; ++id) {
+      records.push_back({id, rng.Uniform(0, 511)});
+    }
+    ConstantScheme scheme(CoverTechnique::kBrc, /*rng_seed=*/5);
+    scheme.SetShards(4);
+    ASSERT_TRUE(scheme.Build(Dataset(Domain{1024}, std::move(records))).ok());
+    ASSERT_EQ(scheme.index().shard_count(), 4);
+    const std::vector<StoreRef> stores = scheme.stores();
+    ASSERT_EQ(stores.size(), 1u);
+
+    const struct {
+      Range range;
+      int level;
+    } cases[] = {{{37, 37}, 0}, {{100, 101}, 1}, {{256, 511}, 8},
+                 {{768, 1023}, 8}};
+    for (const auto& c : cases) {
+      const std::vector<GgmDprf::Token> tokens = scheme.Delegate(c.range);
+      ASSERT_EQ(tokens.size(), 1u);
+      ASSERT_EQ(tokens[0].level, c.level);
+
+      std::vector<Bytes> expected;
+      sse::SearchStats expected_stats;
+      std::vector<Label> leaves;
+      ASSERT_TRUE(GgmDprf::ExpandInto(tokens[0], leaves));
+      for (const Label& leaf : leaves) {
+        for (Bytes& hit : scheme.index().Search(
+                 sse::KeysFromSharedSecret(Bytes(leaf.begin(), leaf.end())),
+                 nullptr, &expected_stats)) {
+          expected.push_back(std::move(hit));
+        }
+      }
+
+      std::vector<Bytes> sink;
+      ResolveScratch scratch;
+      ResolveStats stats;
+      ResolveUnit(stores[0], {.ggm = &tokens[0]}, scratch, sink, stats);
+      EXPECT_EQ(sink, expected) << "range [" << c.range.lo << ","
+                                << c.range.hi << "]";
+      EXPECT_EQ(stats.search.skipped_decrypts,
+                expected_stats.skipped_decrypts);
+      EXPECT_EQ(stats.leaves_searched, uint64_t{1} << c.level);
+      if (c.range.lo >= 768) {
+        EXPECT_TRUE(sink.empty());
+      } else {
+        EXPECT_FALSE(sink.empty());
+      }
     }
   }
 }

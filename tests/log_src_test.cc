@@ -99,6 +99,42 @@ TEST(LogSrcTest, PaddingHidesListShapesButKeepsAnswers) {
   }
 }
 
+TEST(LogSrcTest, ResolveUnitMatchesGatedSearch) {
+  // The shared resolver against its oracle on a Bloom-gated store: a
+  // keyword token resolves to exactly the store's own gated search, in
+  // order, with the same gate skips.
+  Rng rng(7);
+  Dataset data = GenerateUniform(200, 64, rng);
+  LogarithmicSrcScheme scheme(/*rng_seed=*/3, /*pad_quantum=*/16);
+  scheme.EnableBloomGate(0.01);
+  ASSERT_TRUE(scheme.Build(data).ok());
+  const std::vector<StoreRef> stores = scheme.stores();
+  ASSERT_EQ(stores.size(), 1u);
+  ASSERT_NE(stores[0].gate, nullptr);
+
+  size_t total_skipped = 0;
+  for (uint64_t lo = 0; lo < 64; lo += 5) {
+    const Range r{lo, std::min<uint64_t>(63, lo + 7)};
+    Result<TokenSet> tokens = scheme.Trapdoor(r);
+    ASSERT_TRUE(tokens.ok());
+    ASSERT_EQ(tokens->keyword.size(), 1u);
+    const sse::KeywordKeys& token = tokens->keyword[0];
+
+    sse::SearchStats expected_stats;
+    const std::vector<Bytes> expected =
+        stores[0].emm->Search(token, stores[0].gate, &expected_stats);
+    std::vector<Bytes> sink;
+    ResolveScratch scratch;
+    ResolveStats stats;
+    ResolveUnit(stores[0], {.keyword = &token}, scratch, sink, stats);
+    EXPECT_EQ(sink, expected) << "range [" << r.lo << "," << r.hi << "]";
+    EXPECT_EQ(stats.search.skipped_decrypts, expected_stats.skipped_decrypts);
+    EXPECT_EQ(stats.leaves_searched, 0u);
+    total_skipped += stats.search.skipped_decrypts;
+  }
+  EXPECT_GT(total_skipped, 0u) << "the gate must skip padding dummies";
+}
+
 TEST(LogSrcTest, SkewCausesMassiveFalsePositives) {
   // The paper's Section 6.2 worst case: one matching tuple, everything else
   // piled on a single adjacent value inside the same TDAG node.

@@ -1,7 +1,8 @@
 // Remote conformance harness: every scheme of the family — including the
 // PB baseline and the Naive-PerValue ablation — answers range queries
 // through a RemoteBackend against a real loopback rsse_serverd with id
-// sets identical to its in-process LocalBackend. This is the acceptance
+// sets identical to its in-process LocalBackend, and both refuse a
+// mis-addressed token set with the same message. This is the acceptance
 // contract of the split-party API: ExportServerSetup ships the server
 // half (index blobs, Bloom gates, PB filter tree) over SetupStore frames,
 // and QueryVia runs the identical protocol — rounds, token counts,
@@ -18,6 +19,7 @@
 #include "data/generators.h"
 #include "pb/pb_scheme.h"
 #include "rsse/factory.h"
+#include "rsse/local_backend.h"
 #include "rsse/log_src.h"
 #include "rsse/log_src_i.h"
 #include "rsse/scheme.h"
@@ -306,6 +308,66 @@ TEST(RemoteGateTest, UpdateDropsStaleGateSoNewEntriesStayVisible) {
   auto outcome = client.SearchKeyword(req);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->payloads[1].size(), 2u);
+}
+
+TEST(RemoteMisaddressTest, LocalAndRemoteRefuseAlike) {
+  // A token set sent where no store serves it fails in process and over
+  // the wire with the same refusal: the remote message is the local one
+  // behind the client's "server error: " prefix.
+  Rng rng(47);
+  Dataset data = GenerateUniform(/*n=*/40, /*domain_size=*/32, rng);
+  std::unique_ptr<RangeScheme> pb = Make(SchemeId::kPb);
+  std::unique_ptr<RangeScheme> srci = Make(SchemeId::kLogarithmicSrcI);
+  ASSERT_TRUE(pb->Build(data).ok());
+  ASSERT_TRUE(srci->Build(data).ok());
+
+  TokenSet keyword;
+  keyword.keyword.push_back(
+      sse::KeysFromSharedSecret(Bytes(kLabelBytes, 0x21)));
+  TokenSet trapdoors;
+  trapdoors.opaque.push_back(Bytes(kLabelBytes, 0x42));
+  TokenSet ggm_at_i2;
+  ggm_at_i2.store = kSecondaryStore;
+  ggm_at_i2.ggm.push_back(GgmDprf::Token{Bytes(kLabelBytes, 0x17), 2});
+  TokenSet unhosted = keyword;
+  unhosted.store = 7;
+
+  const struct {
+    const char* what;
+    RangeScheme* scheme;
+    const TokenSet& tokens;
+  } cases[] = {
+      {"keyword tokens at PB's filter-tree slot", pb.get(), keyword},
+      {"PB trapdoors at an encrypted-dictionary slot", srci.get(),
+       trapdoors},
+      {"GGM tokens at SRC-i's slot 1", srci.get(), ggm_at_i2},
+      {"a token at a slot nothing hosts", srci.get(), unhosted},
+  };
+  for (const auto& c : cases) {
+    LocalBackend local(c.scheme->stores());
+    Result<ResolvedIds> in_process = local.Resolve(c.tokens);
+    if (in_process.ok()) {
+      ADD_FAILURE() << c.what << " resolved in process";
+      continue;
+    }
+
+    Result<ServerSetup> setup = c.scheme->ExportServerSetup();
+    ASSERT_TRUE(setup.ok());
+    LoopbackServer loopback;
+    server::EmmClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", loopback.port()).ok());
+    ASSERT_TRUE(server::InstallServerSetup(client, *setup).ok());
+    server::RemoteBackend remote(client);
+    Result<ResolvedIds> served = remote.Resolve(c.tokens);
+    if (served.ok()) {
+      ADD_FAILURE() << c.what << " resolved over the wire";
+      continue;
+    }
+    EXPECT_TRUE(
+        served.status().message().ends_with(in_process.status().message()))
+        << c.what << ": local '" << in_process.status().message()
+        << "', remote '" << served.status().message() << "'";
+  }
 }
 
 TEST(RemoteChunkingTest, TinyResultFramesReassembleExactly) {

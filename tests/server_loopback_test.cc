@@ -121,7 +121,7 @@ TEST(ServerLoopbackTest, BatchedSearchMatchesPerQueryConstantScheme) {
 
   LoopbackServer loopback([] {
     ServerOptions options;
-    options.search_threads = 4;
+    options.search_workers = 4;
     return options;
   }());
   EmmClient client;
@@ -251,7 +251,7 @@ TEST(ServerLoopbackTest, UpdateRacingSearchBatchIsWellDefined) {
 
   LoopbackServer loopback([] {
     ServerOptions options;
-    options.search_threads = 2;
+    options.search_workers = 2;
     return options;
   }());
   {
@@ -323,7 +323,8 @@ TEST(ServerLoopbackTest, UpdateRacingSearchBatchIsWellDefined) {
 TEST(ServerLoopbackTest, ResultFramesAreCappedAndInterleaved) {
   // With a tiny per-frame id cap, a two-query batch must stream many
   // SearchResult chunks alternating between the query ids (no query's ids
-  // are buffered wholesale), terminated by one SearchDone.
+  // are buffered wholesale), terminated by one SearchDone. A third query
+  // without tokens gets exactly one empty frame.
   Rng rng(13);
   Dataset data = GenerateUniform(/*n=*/600, /*domain_size=*/256, rng);
   ConstantScheme scheme(CoverTechnique::kBrc, /*rng_seed=*/3);
@@ -384,6 +385,8 @@ TEST(ServerLoopbackTest, ResultFramesAreCappedAndInterleaved) {
     }
     batch.queries.push_back(std::move(query));
   }
+  batch.queries.push_back(WireQuery{});
+  batch.queries.back().query_id = 102;
   send_frame(FrameType::kSearchBatchReq, batch.Encode());
 
   std::map<uint32_t, std::vector<uint64_t>> ids;
@@ -391,7 +394,15 @@ TEST(ServerLoopbackTest, ResultFramesAreCappedAndInterleaved) {
   size_t result_frames = 0;
   for (;;) {
     ASSERT_TRUE(recv_frame(frame));
-    if (frame.type == FrameType::kSearchDone) break;
+    if (frame.type == FrameType::kSearchDone) {
+      // Two aligned 128-value ranges: one level-7 subtree each.
+      Result<SearchDone> done = SearchDone::Decode(frame.payload);
+      ASSERT_TRUE(done.ok());
+      EXPECT_EQ(done->query_count, 3u);
+      EXPECT_EQ(done->unique_nodes_expanded, 2u);
+      EXPECT_EQ(done->leaves_searched, 256u);
+      break;
+    }
     ASSERT_EQ(frame.type, FrameType::kSearchResult);
     auto result = SearchResult::Decode(frame.payload);
     ASSERT_TRUE(result.ok());
@@ -409,6 +420,8 @@ TEST(ServerLoopbackTest, ResultFramesAreCappedAndInterleaved) {
   ASSERT_GE(frame_order.size(), 4u);
   EXPECT_NE(frame_order[0], frame_order[1])
       << "chunks must interleave across query ids";
+  EXPECT_EQ(std::count(frame_order.begin(), frame_order.end(), 102u), 1);
+  EXPECT_TRUE(ids[102].empty());
   for (uint32_t q = 0; q < 2; ++q) {
     Result<QueryResult> expected =
         scheme.Query(Range{q * 128, q * 128 + 127});

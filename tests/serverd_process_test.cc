@@ -3,9 +3,10 @@
 // build): SIGKILL mid-workload followed by a restart from the same
 // --data-dir must recover every acked write; a second daemon on an
 // occupied port must report the bind failure on stderr and exit 1;
-// SIGTERM must drain and exit 0; a numeric flag that does not parse in
-// full must exit 2 before binding; and rsse_client's whole owner round
-// trip against a live daemon must match its local search.
+// SIGTERM must drain and exit 0; an unknown flag or a numeric flag that
+// does not parse in full must exit 2 before binding (and the client's
+// before it builds anything); and rsse_client's whole owner round trip
+// against a live daemon must match its local search.
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -261,21 +262,50 @@ TEST(ServerdProcessTest, SigtermDrainsAndExitsZero) {
   EXPECT_EQ(stats->entries, 1u);
 }
 
-TEST(ServerdProcessTest, MalformedNumericFlagsExitTwoBeforeListening) {
-  if (ServerdBin() == nullptr) {
-    GTEST_SKIP() << "RSSE_SERVERD_BIN not set (run under ctest)";
+TEST(ServerdProcessTest, BadFlagsExitTwoBeforeServing) {
+  if (ServerdBin() == nullptr || ClientBin() == nullptr) {
+    GTEST_SKIP() << "RSSE_SERVERD_BIN/RSSE_CLIENT_BIN not set (run under "
+                    "ctest)";
   }
   // Unchecked parsing turns "abc" into 0 (backpressure off) and 70001
   // into port 4465 (wrapped to 16 bits); both are usage errors. So is
-  // --mmap=off: there is no heap-loading mode to fall back to.
-  for (const char* flag :
-       {"--max-outbound-bytes=abc", "--port=70001", "--mmap=off"}) {
-    Daemon daemon({"--port=0", flag});
+  // --mmap=off: there is no heap-loading mode to fall back to. An unknown
+  // flag must not be ignored either: --data_dir (for --data-dir) would
+  // serve from memory alone and lose every acked write with the process;
+  // --prefault and --threads are gone, and a bare word is no flag. The
+  // client takes only brc or urc as its technique; past its flags it
+  // would build and then fail to connect to port 0, exiting 1.
+  TempDir dir;
+  const struct {
+    const char* bin;
+    std::string flag;
+  } cases[] = {
+      {ServerdBin(), "--max-outbound-bytes=abc"},
+      {ServerdBin(), "--port=70001"},
+      {ServerdBin(), "--mmap=off"},
+      {ServerdBin(), "--data_dir=" + dir.path()},
+      {ServerdBin(), "--prefault=1"},
+      {ServerdBin(), "--threads=4"},
+      {ServerdBin(), "extra"},
+      {ClientBin(), "--technique=xyz"},
+      {ClientBin(), "--prot=1"},
+  };
+  for (const auto& c : cases) {
+    Daemon daemon({"--port=0", c.flag}, c.bin);
     const std::string out = daemon.ReadStdoutToEnd(/*timeout_ms=*/5000);
-    EXPECT_EQ(daemon.WaitExit(), 2) << flag;
+    EXPECT_EQ(daemon.WaitExit(), 2) << c.bin << " " << c.flag;
     EXPECT_EQ(out.find("listening on"), std::string::npos)
-        << flag << ": " << out;
+        << c.flag << ": " << out;
   }
+  DIR* d = opendir(dir.path().c_str());
+  ASSERT_NE(d, nullptr);
+  size_t entries = 0;
+  while (dirent* entry = readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") ++entries;
+  }
+  closedir(d);
+  EXPECT_EQ(entries, 0u) << "the misspelt data dir must stay empty";
 }
 
 TEST(ServerdProcessTest, ClientShipsSetupAndVerifiesAgainstLocalSearch) {

@@ -303,9 +303,9 @@ TEST(ShardedEmmTest, ShardOfUsesRoutingBytesOnly) {
 }
 
 TEST(ShardedEmmTest, ShardCountVariableParsesInFullOrExitsTwo) {
-  // RSSE_SHARDS, like RSSE_BUILD_THREADS and RSSE_SEARCH_THREADS, must be
-  // a whole non-negative int: a malformed value is a configuration error,
-  // not a silent single shard.
+  // RSSE_SHARDS, like RSSE_BUILD_THREADS, must be a whole non-negative
+  // int: a malformed value is a configuration error, not a silent single
+  // shard.
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   for (const char* bad : {"abc", "4x", "-2", "99999999999"}) {
     EXPECT_EXIT(
